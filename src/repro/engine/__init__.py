@@ -19,7 +19,8 @@ one budget, and finite worker attention".  See the module docstrings:
     :class:`ShardedCampaignEngine` / :class:`ShardedScheduler` /
     :class:`BudgetAllocator` — K shard schedulers (each inside the
     exact-frontier cap) under one quality-mass-proportional budget
-    allocator, with task routing and idle-worker rebalancing.
+    allocator, with task routing and idle-worker rebalancing; shard
+    admits run in turn on the serving loop's thread.
 ``engine``
     :class:`CampaignEngine` — the event loop.
 ``ingest``
@@ -31,13 +32,10 @@ one budget, and finite worker attention".  See the module docstrings:
 ``metrics``
     :class:`EngineMetrics` — throughput, realized-vs-predicted
     accuracy, spend, cache stats, per-shard/allocator snapshots.
-``procpool``
-    :class:`ShardProcessPool` / :class:`LeaseCoordinator` — multi-process
-    campaign pools: shard admit rounds shipped to persistent worker
-    processes (``CampaignConfig(dispatch="processes")``,
-    byte-identical to threads), and cross-process seat leases over a
-    shared SQLite file so N serving engines share one worker pool
-    without double-seating (``coordinate_path=...``).
+``leases``
+    :class:`LeaseCoordinator` — cross-process seat leases over a shared
+    SQLite file, so N serving engines share one worker pool without
+    double-seating (``CampaignConfig(coordinate_path=...)``).
 ``server``
     :class:`CampaignServer` — the HTTP serving layer: task intake,
     vote-offer assignments, synchronous vote delivery, status/metrics
@@ -95,13 +93,7 @@ from .ingest import (
     InterleavingSchedule,
     NoOpenOffer,
 )
-from .procpool import (
-    AdmitResult,
-    LeaseCoordinator,
-    ProcPoolError,
-    ShardProcessPool,
-    ShardWorkState,
-)
+from .leases import LeaseCoordinator
 from .metrics import (
     AllocatorSnapshot,
     EngineMetrics,
@@ -146,7 +138,6 @@ from .telemetry import (
 )
 
 __all__ = [
-    "AdmitResult",
     "AllocatorSnapshot",
     "Assignment",
     "AssignmentBook",
@@ -178,15 +169,12 @@ __all__ = [
     "NULL_TELEMETRY",
     "NoOpenOffer",
     "NullTelemetry",
-    "ProcPoolError",
     "ROUTING_POLICIES",
     "SQLiteBackend",
     "SchedulerStats",
     "ServerError",
     "Shard",
-    "ShardProcessPool",
     "ShardRegistryView",
-    "ShardWorkState",
     "SpanRecord",
     "ShardSnapshot",
     "ShardedCampaignEngine",

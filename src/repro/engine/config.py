@@ -28,6 +28,14 @@ from .sharding import ShardingConfig
 #: EngineConfig fields CampaignConfig forwards verbatim.
 _ENGINE_FIELDS = tuple(f.name for f in fields(EngineConfig))
 
+#: Fields of earlier releases that no longer exist: alternative shard
+#: dispatch paths and JQ kernels, every setting of which served
+#: fingerprint-identical campaigns.  Saved configs still carry them, so
+#: :meth:`CampaignConfig.from_dict` drops them whatever their value.
+RETIRED_FIELDS = frozenset(
+    {"parallel_shards", "dispatch", "vote_fanout", "jq_kernel"}
+)
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -52,13 +60,9 @@ class CampaignConfig:
     reestimate_every: int = 0
     reestimate_method: str = "one-coin"
     reestimate_rate: float = 0.3
-    jq_kernel: str = "batch"
     checkpoint_every: int = 0
     vote_latency: float = 1.0
     ingestion: str = "sync"
-    parallel_shards: int = 0
-    dispatch: str = "threads"
-    vote_fanout: int = 0
     ingest_max_pending: int = 10_000
     ingest_grace: float | str = 0.05
     ingest_producer_quota: float = 0.0
@@ -75,7 +79,7 @@ class CampaignConfig:
     # -- network serving (repro serve / CampaignServer) ----------------
     serve_host: str = "127.0.0.1"
     serve_port: int = 8765
-    # -- cross-process coordination (repro.engine.procpool) ------------
+    # -- cross-process coordination (repro.engine.leases) --------------
     # A shared SQLite file through which N engine processes lease worker
     # seats (None = this engine owns its pool outright).  Keep it
     # separate from any per-engine checkpoint path: checkpoints replace
@@ -124,13 +128,14 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, state: Mapping) -> "CampaignConfig":
+        state = {k: v for k, v in state.items() if k not in RETIRED_FIELDS}
         known = {f.name for f in fields(cls)}
         unknown = set(state) - known
         if unknown:
             raise ValueError(
                 f"unknown CampaignConfig fields {sorted(unknown)}"
             )
-        return cls(**dict(state))
+        return cls(**state)
 
     @classmethod
     def from_engine_config(

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +101,6 @@ class EngineConfig:
         (0 disables).
     reestimate_method / reestimate_rate:
         Forwarded to :meth:`WorkerRegistry.reestimate`.
-    jq_kernel:
-        ``"batch"`` (default) builds scheduler frontiers through the
-        batched all-subsets JQ kernel; ``"scalar"`` keeps the per-jury
-        path.  Decisions and fingerprints are byte-identical either
-        way — the toggle exists for benchmarking and regression pins.
     checkpoint_every:
         Under the :class:`~repro.engine.campaign.Campaign` facade,
         checkpoint the campaign to its backend after every N completed
@@ -123,30 +117,6 @@ class EngineConfig:
         while batches are being seated.  A campaign whose tasks are all
         submitted before ``run`` is fingerprint-byte-identical either
         way (pinned by the invariant harness).
-    parallel_shards:
-        Dispatch the sharded engine's per-shard admits to a thread pool
-        of this many workers (0 = the sequential in-loop dispatch).
-        Decisions are byte-identical to sequential dispatch — shards
-        only touch their own members and results merge in shard-id
-        order — so the toggle is purely a throughput lever.  Ignored by
-        the single-scheduler engine.
-    dispatch:
-        ``"threads"`` (default) runs sharded per-shard admits inline or
-        on the ``parallel_shards`` thread pool; ``"processes"`` routes
-        them to a persistent
-        :class:`~repro.engine.procpool.ShardProcessPool` — one sticky
-        worker *process* per shard, breaking the GIL limit on the
-        envelope-walking DP.  Decisions and fingerprints stay
-        byte-identical (the parent replays worker decisions in shard-id
-        order); env var ``REPRO_ENGINE_FORCE_DISPATCH`` overrides the
-        setting under the Campaign facade.  Ignored by the
-        single-scheduler engine.
-    vote_fanout:
-        Drain same-tick simulated vote arrivals over *distinct* tasks
-        on a thread pool of this many workers (0 = the classic
-        one-at-a-time drain).  Uniform draws are pre-consumed in pop
-        order and results committed in pop order, so the fanout drain
-        is byte-identical to the sequential one (pinned).
     ingest_max_pending:
         Async backpressure bound: producers block once this many
         submitted tasks await intake draining.
@@ -205,13 +175,9 @@ class EngineConfig:
     reestimate_every: int = 0
     reestimate_method: str = "one-coin"
     reestimate_rate: float = 0.3
-    jq_kernel: str = "batch"
     checkpoint_every: int = 0
     vote_latency: float = 1.0
     ingestion: str = "sync"
-    parallel_shards: int = 0
-    dispatch: str = "threads"
-    vote_fanout: int = 0
     ingest_max_pending: int = 10_000
     ingest_grace: float | str = 0.05
     ingest_producer_quota: float = 0.0
@@ -228,20 +194,12 @@ class EngineConfig:
             raise ValueError("batch_size must be >= 1")
         if self.reestimate_every < 0:
             raise ValueError("reestimate_every must be >= 0")
-        if self.jq_kernel not in ("batch", "scalar"):
-            raise ValueError("jq_kernel must be 'batch' or 'scalar'")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.vote_latency <= 0:
             raise ValueError("vote_latency must be positive")
         if self.ingestion not in ("sync", "async"):
             raise ValueError("ingestion must be 'sync' or 'async'")
-        if self.parallel_shards < 0:
-            raise ValueError("parallel_shards must be >= 0")
-        if self.dispatch not in ("threads", "processes"):
-            raise ValueError("dispatch must be 'threads' or 'processes'")
-        if self.vote_fanout < 0:
-            raise ValueError("vote_fanout must be >= 0")
         if self.ingest_max_pending < 1:
             raise ValueError("ingest_max_pending must be >= 1")
         if self.ingest_grace != "auto":
@@ -353,8 +311,6 @@ class CampaignEngine:
         # Observed scheduler-admit wall latency (EWMA, seconds); feeds
         # the adaptive async intake grace (ingest_grace="auto").
         self.admit_latency_ewma: float | None = None
-        # Lazy thread pool for the vote-fanout drain (vote_fanout > 0).
-        self._vote_pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -450,11 +406,6 @@ class CampaignEngine:
             self._finalize_unfunded(task)
         self._deferred = []
         self._collect_stats()
-        if self.scheduler is not None:
-            self.scheduler.close()
-        if self._vote_pool is not None:
-            self._vote_pool.shutdown(wait=True)
-            self._vote_pool = None
 
     def _make_scheduler(self, expected_tasks: int):
         """Build this campaign's scheduler.  Subclass hook: the sharded
@@ -466,7 +417,6 @@ class CampaignEngine:
             budget=self.config.budget,
             expected_tasks=expected_tasks,
             frontier_pool_size=self.config.frontier_pool_size,
-            jq_kernel=self.config.jq_kernel,
             telemetry=self.telemetry,
         )
 
@@ -503,10 +453,7 @@ class CampaignEngine:
         if isinstance(event, TaskArrival):
             self._on_arrival(event)
         elif isinstance(event, VoteArrival):
-            if self.config.vote_fanout > 0:
-                self._on_vote_fanout(event)
-            else:
-                self._on_vote(event)
+            self._on_vote(event)
         elif isinstance(event, TaskComplete):
             self._on_complete(event)
         else:  # pragma: no cover - closed event algebra
@@ -633,93 +580,6 @@ class CampaignEngine:
             self._queue.push(
                 TaskComplete(event.time, event.task_id, "early-stop")
             )
-
-    def _on_vote_fanout(self, first: VoteArrival) -> None:
-        """Drain a same-tick run of vote arrivals on the fanout pool.
-
-        Byte-identity with the sequential drain rests on three fences:
-
-        * only *same-time* events join the run — any ``TaskComplete`` a
-          run member pushes carries that same time with a later enqueue
-          serial, so sequentially it would pop after every run member
-          anyway (a strictly earlier-time completion would pop — and
-          could retry deferred tasks, consuming RNG — between votes, so
-          later-time votes must not be folded in);
-        * only *distinct live* tasks join, so the parallel phase
-          touches disjoint decision sessions and a member cannot
-          complete another member's task mid-run;
-        * uniforms are pre-drawn in pop order and effects (vote matrix
-          rows, metrics, completion pushes) committed in pop order.
-
-        Only the per-vote simulation (uniform compare + posterior
-        update) runs on the pool — the registry, metrics, and event
-        queue are touched solely from the loop thread.
-        """
-        events = [first]
-        run_tasks = {first.task_id}
-        while True:
-            nxt = self._queue.peek()
-            if (
-                not isinstance(nxt, VoteArrival)
-                or nxt.time != first.time
-                or nxt.task_id in run_tasks
-            ):
-                break
-            runtime = self._active.get(nxt.task_id)
-            if runtime is None or runtime.done:
-                break
-            run_tasks.add(nxt.task_id)
-            event = self._queue.pop()
-            self._clock = max(self._clock, event.time)
-            events.append(event)
-        live: list[tuple[VoteArrival, _TaskRuntime, float]] = []
-        for event in events:
-            runtime = self._active.get(event.task_id)
-            if runtime is None or runtime.done:
-                # Only the run's head can be dead (later members were
-                # screened); the sequential path consumes no RNG here.
-                self._on_vote(event)
-                continue
-            live.append((event, runtime, self._rng.random()))
-        if not live:
-            return
-
-        def simulate(item) -> int:
-            event, runtime, u = item
-            worker = self.registry.worker(event.worker_id)
-            q_true = self.registry.true_quality(event.worker_id)
-            truth = runtime.sim_truth
-            vote = truth if u < q_true else 1 - truth
-            runtime.session.add_vote(worker, vote)
-            return vote
-
-        if len(live) == 1:
-            votes = [simulate(live[0])]
-        else:
-            if self._vote_pool is None:
-                self._vote_pool = ThreadPoolExecutor(
-                    max_workers=self.config.vote_fanout,
-                    thread_name_prefix="repro-vote",
-                )
-            votes = list(self._vote_pool.map(simulate, live))
-        for (event, runtime, _), vote in zip(live, votes):
-            self.registry.record_vote(event.worker_id, event.task_id, vote)
-            self.metrics.votes_cast += 1
-            self.telemetry.inc("engine.votes_cast")
-            self.telemetry.event(
-                "vote", task=event.task_id, worker=event.worker_id, vote=vote
-            )
-            runtime.pending_workers.remove(event.worker_id)
-            if not runtime.pending_workers:
-                runtime.done = True
-                self._queue.push(
-                    TaskComplete(event.time, event.task_id, "all-votes")
-                )
-            elif runtime.session.should_stop:
-                runtime.done = True
-                self._queue.push(
-                    TaskComplete(event.time, event.task_id, "early-stop")
-                )
 
     def deliver_vote(self, task_id: str, worker_id: str, vote: int) -> bool:
         """Apply one externally supplied vote (``vote_source="external"``

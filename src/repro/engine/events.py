@@ -167,12 +167,6 @@ class EventQueue:
         self._pending[type(entry.event)] -= 1
         return entry.event
 
-    def peek(self) -> Event | None:
-        """The event :meth:`pop` would return next, without removing it
-        (``None`` on an empty queue) — lets the vote-fanout drain test
-        whether the next event extends the current same-tick run."""
-        return self._heap[0].event if self._heap else None
-
     def pending(self, event_type: type) -> int:
         """Number of queued events of exactly ``event_type``."""
         return self._pending.get(event_type, 0)

@@ -36,13 +36,11 @@ When the loop goes idle with the intake open it waits ``grace`` seconds
 trickle of producers is served in fuller batches instead of one jury
 at a time.
 
-Parallelism across shards lives in
-:class:`~repro.engine.sharding.ShardedScheduler` (a
-``ThreadPoolExecutor`` dispatching the per-shard admits concurrently);
-this module owns the producer-facing half.  The two compose: burst
-traffic streams in through the intake while K shard admits seat juries
-in parallel — ``benchmarks/bench_async_ingestion.py`` measures the
-combination against the sequential loop.
+The concurrency here is on the producer side only: submitters run on
+their own threads, while every admit — across all shards of a
+:class:`~repro.engine.sharding.ShardedScheduler` — runs on the serving
+loop's thread.  ``benchmarks/bench_async_ingestion.py`` measures async
+intake over a sharded campaign against a single-shard synchronous loop.
 """
 
 from __future__ import annotations

@@ -262,13 +262,6 @@ class CampaignScheduler:
         streams the lattice level by level
         (:func:`repro.quality.stream.streamed_frontier_jq`), so the cap
         is runtime, not memory.
-    jq_kernel:
-        ``"batch"`` (default) builds frontier-memo misses through the
-        all-subsets lattice kernel — one shared sweep per miss instead
-        of ~``2^k`` scalar JQ calls, the difference that matters under
-        re-estimation churn; ``"scalar"`` keeps the historical per-jury
-        path.  The two are byte-identical in every decision and cache
-        counter (pinned by the engine fingerprint regression).
     telemetry:
         Observability hub (:data:`~repro.engine.telemetry.NULL_TELEMETRY`
         by default).  The scheduler reports admit/frontier-build spans
@@ -286,7 +279,6 @@ class CampaignScheduler:
         budget: float,
         expected_tasks: int,
         frontier_pool_size: int = 10,
-        jq_kernel: str = "batch",
         telemetry=NULL_TELEMETRY,
         shard_id: int | None = None,
     ) -> None:
@@ -298,14 +290,11 @@ class CampaignScheduler:
             raise ValueError(
                 f"frontier_pool_size must lie in [1, {MAX_FRONTIER_POOL}]"
             )
-        if jq_kernel not in ("batch", "scalar"):
-            raise ValueError("jq_kernel must be 'batch' or 'scalar'")
         self.registry = registry
         self.cache = cache
         self.budget = float(budget)
         self.expected_tasks = expected_tasks
         self.frontier_pool_size = frontier_pool_size
-        self.jq_kernel = jq_kernel
         self.objective = CachedJQObjective(cache)
         self._reserved = 0.0
         self._refunded = 0.0
@@ -348,11 +337,6 @@ class CampaignScheduler:
         if amount < -1e-9:
             raise ValueError(f"refund must be non-negative, got {amount}")
         self._refunded += max(float(amount), 0.0)
-
-    def close(self) -> None:
-        """Release held resources — nothing for the single scheduler;
-        the sharded scheduler shuts its dispatch pool down here.  Part
-        of the shared scheduler surface the engine drives."""
 
     # ------------------------------------------------------------------
     # Admission
@@ -438,11 +422,7 @@ class CampaignScheduler:
             ):
                 frontier = _thin_frontier(
                     exact_frontier(
-                        candidates,
-                        self.objective,
-                        implementation=(
-                            "batch" if self.jq_kernel == "batch" else "scalar"
-                        ),
+                        candidates, self.objective, implementation="batch"
                     )
                 )
             self._frontier_memo[memo_key] = frontier

@@ -313,7 +313,7 @@ class CampaignServer:
         coordinator = campaign.coordinator
         return {
             # Which process answered, and its seat-lease identity when
-            # N engines share one worker pool (procpool coordination) —
+            # N engines share one worker pool (lease coordination) —
             # lets an operator tell coordinated peers apart.
             "pid": os.getpid(),
             "coordinated": coordinator is not None,

@@ -29,9 +29,8 @@ The kernels here share the work across the whole candidate set:
 bit-for-bit, not merely within tolerance: the per-element arithmetic
 (products in worker order, two shifted adds per bucket column, the
 final slice summation) is arranged to match the scalar code's operation
-order exactly.  The property tests pin this, and it is what lets the
-engine swap kernels in and out (``jq_kernel="batch" | "scalar"``) with
-byte-identical campaign fingerprints.
+order exactly.  The property tests pin this, so the scheduler's batch
+frontier builds make exactly the decisions the scalar oracles would.
 """
 
 from __future__ import annotations

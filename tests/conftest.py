@@ -11,8 +11,8 @@ import pytest
 from repro.core import Jury, Worker, WorkerPool
 
 #: Optional per-test wall-clock limit (seconds).  CI sets this when it
-#: re-runs the engine suite with async ingestion and parallel shard
-#: dispatch forced on (see ``REPRO_ENGINE_FORCE_INGESTION`` in
+#: re-runs the engine suite with async ingestion forced on (see
+#: ``REPRO_ENGINE_FORCE_INGESTION`` in
 #: ``repro.engine.campaign``): a deadlock in the concurrent path then
 #: fails the one stuck test fast instead of hanging the whole job.
 _TIMEOUT_ENV = "REPRO_TEST_TIMEOUT"
@@ -32,7 +32,7 @@ def pytest_runtest_call(item):
         )
 
     # SIGALRM interrupts lock/condition waits on the main thread, which
-    # is exactly where an intake/dispatch deadlock would park the test.
+    # is exactly where an intake deadlock would park the test.
     previous = signal.signal(signal.SIGALRM, on_alarm)
     signal.setitimer(signal.ITIMER_REAL, limit)
     try:

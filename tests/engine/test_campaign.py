@@ -88,6 +88,38 @@ class TestCampaignConfig:
         with pytest.raises(ValueError, match="unknown"):
             CampaignConfig.from_dict({"budget": 1.0, "shards": 2})
 
+    #: Non-default values of the fields ``from_dict`` drops: every one
+    #: of them served the same campaign as the default.
+    RETIRED = {
+        "parallel_shards": 4,
+        "dispatch": "processes",
+        "vote_fanout": 3,
+        "jq_kernel": "scalar",
+    }
+
+    def test_from_dict_drops_retired_fields(self):
+        config = CampaignConfig(
+            budget=4.0, num_shards=2, quantization=None, seed=11
+        )
+        saved = {**config.to_dict(), **self.RETIRED}
+        assert CampaignConfig.from_dict(saved) == config
+        with pytest.raises(ValueError, match="unknown.*bogus"):
+            CampaignConfig.from_dict({**saved, "bogus": 1})
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_checkpoint_with_retired_fields_resumes(self, num_shards):
+        reference = make_campaign(num_shards).run().fingerprint()
+        backend = MemoryBackend()
+        campaign = make_campaign(num_shards, backend=backend)
+        campaign.run(until=30)
+        campaign.checkpoint()
+        campaign.close()
+        snapshot = backend.load()
+        snapshot["campaign"]["config"].update(self.RETIRED)
+        backend.save(snapshot)
+        resumed = Campaign.resume(backend)
+        assert resumed.run().fingerprint() == reference
+
     def test_lift_from_legacy_configs(self):
         engine_config = EngineConfig(budget=5.0, capacity=3, seed=2)
         config = CampaignConfig.from_engine_config(

@@ -1,12 +1,17 @@
-"""Batched-kernel toggle, frontier-memo LRU, scheduled checkpoints and
-live paused-report gauges.
+"""Frontier-memo LRU, scheduled checkpoints, live paused-report gauges,
+and cache-level batch-vs-scalar replay.
 
-The kernel path is a pure performance lever: every decision, cache
-counter, and therefore the campaign fingerprint must be byte-identical
-to the scalar path.  Scheduled checkpoints are read-only snapshots, so
-an auto-checkpointing run (and anything resumed from one of its
-checkpoints) must also be fingerprint-identical to an uninterrupted
-run.
+The scheduler builds every frontier with
+``exact_frontier(pool, CachedJQObjective(cache), implementation="batch")``.
+Its parity with the scalar oracle is pinned at the kernel level rather
+than by a whole campaign: ``tests/quality/test_batch.py`` (batch JQ
+kernels bit-identical to the scalar ones), ``tests/test_frontier.py``
+(batch frontier == scalar frontier) and ``TestCacheBatchReplay`` below
+(the same through the JQ cache, on both the lattice and the streamed
+path, values and cache counters alike).  Scheduled checkpoints are
+read-only snapshots, so an auto-checkpointing run (and anything resumed
+from one of its checkpoints) must be fingerprint-identical to an
+uninterrupted run.
 """
 
 import numpy as np
@@ -51,33 +56,6 @@ def make_campaign(backend=None, seed=5, num_tasks=120, **overrides):
         for i, t in enumerate(truths)
     )
     return campaign
-
-
-class TestKernelToggle:
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    @pytest.mark.parametrize("quantization", ["auto", None])
-    def test_fingerprint_identical_across_kernel_toggle(
-        self, num_shards, quantization
-    ):
-        """Re-estimation every 25 tasks churns the frontier memos, so
-        both paths rebuild frontiers constantly — and must agree on
-        every decision and every cache counter."""
-        batch = make_campaign(
-            num_shards=num_shards,
-            quantization=quantization,
-            jq_kernel="batch",
-        ).run()
-        scalar = make_campaign(
-            num_shards=num_shards,
-            quantization=quantization,
-            jq_kernel="scalar",
-        ).run()
-        assert batch.fingerprint() == scalar.fingerprint()
-        assert batch.cache_stats == scalar.cache_stats
-
-    def test_jq_kernel_validation(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, jq_kernel="gpu")
 
 
 class TestFrontierMemoLRU:
@@ -220,6 +198,33 @@ class TestCacheBatchReplay:
             assert list(batch_cache._store.items()) == list(
                 scalar_cache._store.items()
             )
+
+    @pytest.mark.parametrize("quantization", [None, 200])
+    def test_cached_objective_lattice_frontier_matches_scalar(
+        self, quantization
+    ):
+        """The scheduler's own frontier build: a default-sized
+        (10-worker) candidate pool through the cached all-subsets
+        lattice equals the scalar cached frontier point for point, and
+        leaves the cache counters and LRU order the scalar path would."""
+        from repro.engine.cache import CachedJQObjective
+        from repro.frontier import exact_frontier
+
+        pool = make_pool(num_workers=10, seed=41)
+        batch_cache, scalar_cache = self._twin_caches(
+            quantization=quantization
+        )
+        batch = exact_frontier(
+            pool, CachedJQObjective(batch_cache), implementation="batch"
+        )
+        scalar = exact_frontier(
+            pool, CachedJQObjective(scalar_cache), implementation="scalar"
+        )
+        assert batch.points == scalar.points
+        assert batch_cache.stats == scalar_cache.stats
+        assert list(batch_cache._store.items()) == list(
+            scalar_cache._store.items()
+        )
 
     def test_cached_objective_chunked_frontier_fallback(self):
         """Pools past the lattice bound route CachedJQObjective through

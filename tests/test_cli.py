@@ -128,50 +128,47 @@ class TestEngineCommand:
         assert "sharding" not in out
 
     def test_sharded_run_reports_shards(self, capsys):
-        assert main(self.ARGS + ["--shards", "4"]) == 0
+        assert main(self.ARGS + ["--num-shards", "4"]) == 0
         out = capsys.readouterr().out
         assert "sharding     : allocator:" in out
         assert "shard 3:" in out
 
     def test_shards_one_is_byte_identical_to_presharding(self, capsys):
-        """The CLI output contract: --shards 1 produces the exact
+        """The CLI output contract: --num-shards 1 produces the exact
         pre-sharding report (modulo wall clock) — e.g. no sharding
         lines may appear.  The engine-level single-shard fingerprint
         pin lives in tests/engine/test_invariants.py."""
         assert main(self.ARGS) == 0
         plain = self.stable_lines(capsys.readouterr().out)
-        assert main(self.ARGS + ["--shards", "1"]) == 0
+        assert main(self.ARGS + ["--num-shards", "1"]) == 0
         sharded = self.stable_lines(capsys.readouterr().out)
         assert plain == sharded
 
     def test_shard_policy_choices_enforced(self):
         with pytest.raises(SystemExit):
-            main(self.ARGS + ["--shards", "2", "--shard-policy", "rr"])
+            main(self.ARGS + ["--num-shards", "2", "--routing-policy", "rr"])
 
     def test_async_ingestion_matches_sync_report(self, capsys):
-        """--ingestion async --parallel-shards N on a pre-submitted
-        campaign must print the exact sync report (modulo wall clock):
+        """--ingestion async on a pre-submitted sharded campaign must
+        print the exact sync report (modulo wall clock):
         the deterministic-mode pin, surfaced at the CLI."""
         sharded = self.ARGS + ["--num-shards", "4"]
         assert main(sharded) == 0
         sync_out = self.stable_lines(capsys.readouterr().out)
-        assert main(
-            sharded + ["--ingestion", "async", "--parallel-shards", "4"]
-        ) == 0
+        assert main(sharded + ["--ingestion", "async"]) == 0
         async_out = self.stable_lines(capsys.readouterr().out)
         assert async_out == sync_out
 
     def test_ingestion_choices_enforced(self):
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--ingestion", "threaded"])
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--parallel-shards", "-1"])
 
     def test_nonpositive_shard_count_rejected(self):
-        """--shards 0 must fail loudly, not silently run unsharded."""
+        """--num-shards 0 must fail loudly, not silently run
+        unsharded."""
         for bad in ("0", "-4"):
             with pytest.raises(SystemExit):
-                main(self.ARGS + ["--shards", bad])
+                main(self.ARGS + ["--num-shards", bad])
 
     def test_cache_max_entries_flag(self, capsys):
         """A tight bound on a real campaign must actually evict (the
@@ -193,24 +190,6 @@ class TestEngineLifecycleFlags:
         captured = capsys.readouterr()
         assert "shard 3:" in captured.out
         assert "deprecated" not in captured.err
-
-    def test_legacy_spellings_warn_but_work(self, capsys):
-        assert main(self.ARGS + ["--shards", "4",
-                                 "--shard-policy", "least-loaded"]) == 0
-        captured = capsys.readouterr()
-        assert "shard 3:" in captured.out
-        assert "--shards is deprecated; use --num-shards" in captured.err
-        assert (
-            "--shard-policy is deprecated; use --routing-policy"
-            in captured.err
-        )
-
-    def test_legacy_and_canonical_agree(self, capsys):
-        assert main(self.ARGS + ["--num-shards", "2"]) == 0
-        canonical = TestEngineCommand.stable_lines(capsys.readouterr().out)
-        assert main(self.ARGS + ["--shards", "2"]) == 0
-        legacy = TestEngineCommand.stable_lines(capsys.readouterr().out)
-        assert canonical == legacy
 
     def test_sqlite_backend_requires_state_file(self, capsys):
         assert main(self.ARGS + ["--backend", "sqlite"]) == 2
@@ -286,17 +265,6 @@ class TestEngineLifecycleFlags:
 
 class TestEngineKernelAndCheckpointFlags:
     ARGS = TestEngineCommand.ARGS
-
-    def test_jq_kernel_scalar_is_byte_identical(self, capsys):
-        assert main(self.ARGS) == 0
-        batch = TestEngineCommand.stable_lines(capsys.readouterr().out)
-        assert main(self.ARGS + ["--jq-kernel", "scalar"]) == 0
-        scalar = TestEngineCommand.stable_lines(capsys.readouterr().out)
-        assert batch == scalar
-
-    def test_jq_kernel_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--jq-kernel", "gpu"])
 
     def test_checkpoint_every_persists_mid_run(self, tmp_path, capsys):
         """An auto-checkpointing run killed mid-campaign resumes from
