@@ -72,8 +72,6 @@ from .selection import (
 from .engine import (
     Campaign,
     CampaignConfig,
-    CampaignEngine,
-    EngineConfig,
     EngineMetrics,
     EngineTask,
     JQCache,
@@ -100,10 +98,8 @@ __all__ = [
     "BayesianVoting",
     "Campaign",
     "CampaignConfig",
-    "CampaignEngine",
     "CampaignPlan",
     "DecisionTask",
-    "EngineConfig",
     "EngineMetrics",
     "EngineTask",
     "ExhaustiveSelector",

@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "'auto' derives the grid from the bucket "
                             "resolution)")
     p_eng.add_argument("--num-shards", type=_positive_int, default=1,
-                       help="worker-pool shards (1 = unsharded engine)")
+                       help="worker-pool shards (1 = one shard of every "
+                            "worker)")
     p_eng.add_argument("--routing-policy", default="hash",
                        choices=ROUTING_POLICIES,
                        help="task-to-shard routing policy")
@@ -302,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--confidence", type=float, default=0.97,
                        help="early-stop confidence target")
     p_srv.add_argument("--num-shards", type=_positive_int, default=1,
-                       help="worker-pool shards (1 = unsharded engine)")
+                       help="worker-pool shards (1 = one shard of every "
+                            "worker)")
     p_srv.add_argument("--routing-policy", default="hash",
                        choices=ROUTING_POLICIES)
     p_srv.add_argument("--coordinate", default=None, metavar="PATH",

@@ -13,16 +13,18 @@ one budget, and finite worker attention".  See the module docstrings:
     :class:`JQCache` / :class:`CachedJQObjective` — campaign-wide JQ
     memoization.
 ``scheduler``
-    :class:`CampaignScheduler` — batch admission, budget pacing,
-    capacity-aware seating over the portfolio/frontier machinery.
+    :class:`CampaignScheduler` — one shard's batch admission within its
+    budget grant: capacity-aware seating over the portfolio/frontier
+    machinery.
 ``sharding``
-    :class:`ShardedCampaignEngine` / :class:`ShardedScheduler` /
-    :class:`BudgetAllocator` — K shard schedulers (each inside the
-    exact-frontier cap) under one quality-mass-proportional budget
-    allocator, with task routing and idle-worker rebalancing; shard
-    admits run in turn on the serving loop's thread.
+    :class:`ShardedScheduler` / :class:`BudgetAllocator` — every
+    campaign's K >= 1 shard schedulers under one
+    quality-mass-proportional budget allocator (the campaign's only
+    budget ledger), with task routing and idle-worker rebalancing.
 ``engine``
-    :class:`CampaignEngine` — the event loop.
+    ``CampaignEngine`` — the event loop, the core behind
+    :class:`Campaign` (``Campaign.engine``; import it from
+    ``repro.engine.engine`` to drive it bare).
 ``ingest``
     :class:`IntakeQueue` / :class:`AsyncIngestLoop` /
     :class:`InterleavingSchedule` — thread-safe live intake with
@@ -52,8 +54,7 @@ one budget, and finite worker attention".  See the module docstrings:
     (``open`` / ``submit`` / ``run(until=...)`` / ``checkpoint`` /
     ``resume`` / ``close``) over one unified :class:`CampaignConfig`,
     with pluggable persistent state (:class:`StateBackend` —
-    :class:`MemoryBackend`, :class:`SQLiteBackend`).  The engine
-    classes above remain as deprecated shims.
+    :class:`MemoryBackend`, :class:`SQLiteBackend`).
 """
 
 from .backends import (
@@ -73,7 +74,6 @@ from .cache import (
 )
 from .campaign import Campaign
 from .config import CampaignConfig
-from .engine import CampaignEngine, EngineConfig
 from .events import (
     EngineTask,
     Event,
@@ -116,9 +116,7 @@ from .sharding import (
     ROUTING_POLICIES,
     BudgetAllocator,
     Shard,
-    ShardedCampaignEngine,
     ShardedScheduler,
-    ShardingConfig,
     ShardRegistryView,
     partition_members,
 )
@@ -148,11 +146,9 @@ __all__ = [
     "CacheStats",
     "Campaign",
     "CampaignConfig",
-    "CampaignEngine",
     "CampaignScheduler",
     "CampaignServer",
     "CapacityError",
-    "EngineConfig",
     "EngineMetrics",
     "EngineTask",
     "Event",
@@ -177,9 +173,7 @@ __all__ = [
     "ShardRegistryView",
     "SpanRecord",
     "ShardSnapshot",
-    "ShardedCampaignEngine",
     "ShardedScheduler",
-    "ShardingConfig",
     "StaleEpochError",
     "StateBackend",
     "SubstituteIndex",

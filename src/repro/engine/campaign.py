@@ -1,9 +1,8 @@
 """The `Campaign` facade: an explicit, resumable serving lifecycle.
 
-The pre-facade API was "construct ``CampaignEngine`` or
-``ShardedCampaignEngine`` with the right kwargs, ``submit()``,
-``run()`` once, lose everything".  :class:`Campaign` replaces that with
-a lifecycle::
+:class:`Campaign` is the public way to serve a campaign.  It wraps the
+engine core (:class:`~repro.engine.engine.CampaignEngine`) in a
+lifecycle::
 
     campaign = Campaign.open(pool, CampaignConfig(budget=150, seed=7),
                              backend=SQLiteBackend("campaign.db"))
@@ -25,8 +24,11 @@ produces a :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`
 byte-identical to an uninterrupted run (pinned by the invariant
 harness, across backends and shard counts).
 
-Shard count is a config field (``CampaignConfig(num_shards=K)``), not a
-class choice; the deprecated engine classes remain as shims.
+Shard count is a config field (``CampaignConfig(num_shards=K)``); every
+campaign, ``num_shards=1`` included, is served by K shard schedulers
+under one budget allocator.  Checkpoints written before that was true
+carry a ``"mode": "single"`` ledger; :meth:`Campaign.resume` upgrades
+it to the one-shard layout on read.
 """
 
 from __future__ import annotations
@@ -52,16 +54,15 @@ from .ingest import AsyncIngestLoop, IngestStats
 from .metrics import EngineMetrics
 from .leases import LeaseCoordinator
 from .scheduler import Assignment
-from .sharding import ShardedCampaignEngine, ShardedScheduler
 from .state import WorkerRegistry
 from .cache import load_cache_file, save_cache_file
 
 #: Environment toggles forcing the async intake path or live telemetry
 #: — CI runs the whole engine suite once under each, so every lifecycle
 #: test doubles as a deadlock/race probe for the async machinery and a
-#: check that telemetry only observes.  Applied
-#: only at the facade (the deprecated engine classes honor their
-#: explicit config), and only when the value is non-empty.
+#: check that telemetry only observes.  Applied only at the facade (a
+#: bare engine core honors its explicit config), and only when the
+#: value is non-empty.
 FORCE_INGESTION_ENV = "REPRO_ENGINE_FORCE_INGESTION"
 FORCE_TELEMETRY_ENV = "REPRO_ENGINE_FORCE_TELEMETRY"
 
@@ -79,33 +80,6 @@ def _apply_env_overrides(config: CampaignConfig) -> CampaignConfig:
     if not updates:
         return config
     return dataclasses.replace(config, **updates)
-
-
-class _FacadeEngine(CampaignEngine):
-    """Engine core as constructed by the facade (no deprecation
-    warning — the facade *is* the supported entry point)."""
-
-
-class _FacadeShardedEngine(ShardedCampaignEngine):
-    """Sharded engine core as constructed by the facade."""
-
-
-def _build_engine(
-    pool: WorkerPool,
-    config: CampaignConfig,
-    initial_quality=None,
-):
-    sharding = config.sharding_config()
-    if sharding is None:
-        return _FacadeEngine(
-            pool, config.engine_config(), initial_quality=initial_quality
-        )
-    return _FacadeShardedEngine(
-        pool,
-        config.engine_config(),
-        sharding,
-        initial_quality=initial_quality,
-    )
 
 
 _INTERNAL = object()
@@ -187,7 +161,7 @@ class Campaign:
         campaign = cls(_token=_INTERNAL)
         config = _apply_env_overrides(config)
         campaign._config = config
-        campaign._engine = _build_engine(pool, config, initial_quality)
+        campaign._engine = CampaignEngine(pool, config, initial_quality)
         if backend is not None:
             campaign._backend = backend
         campaign._engine._checkpoint_hook = campaign.checkpoint
@@ -241,7 +215,7 @@ class Campaign:
         spacing: float = 1.0,
         timeout: float | None = None,
     ) -> int:
-        """Enqueue task arrivals (see :meth:`CampaignEngine.submit`).
+        """Enqueue task arrivals at evenly spaced logical times.
         Allowed any time before the campaign finishes — including
         between :meth:`run` calls and after a :meth:`resume`.  Under
         ``ingestion="async"`` submission goes through the thread-safe
@@ -536,8 +510,8 @@ class Campaign:
 
     @property
     def engine(self) -> CampaignEngine:
-        """The underlying engine core (single or sharded) — an escape
-        hatch for observability; drive the campaign through the facade."""
+        """The underlying engine core — an escape hatch for
+        observability; drive the campaign through the facade."""
         return self._engine
 
     def render(self) -> str:
@@ -547,10 +521,13 @@ class Campaign:
     # Warm-cache shipping
     # ------------------------------------------------------------------
     def _caches(self):
-        engine = self._engine
-        if isinstance(engine.scheduler, ShardedScheduler):
-            return [shard.cache for shard in engine.scheduler.shards]
-        return [engine.cache]
+        scheduler = self._engine.scheduler
+        if scheduler is None:
+            raise RuntimeError(
+                "no JQ caches yet: the first run() or import_cache() "
+                "builds the serving stack"
+            )
+        return [shard.cache for shard in scheduler.shards]
 
     def export_cache(self, path) -> int:
         """Write this campaign's warmed JQ-cache entries (union across
@@ -630,10 +607,10 @@ class Campaign:
         }
 
         scheduler = engine.scheduler
-        caches = {"campaign": engine.cache.state_dict()}
+        caches = {}
         if scheduler is None:
             ledger = {"mode": "unstarted"}
-        elif isinstance(scheduler, ShardedScheduler):
+        else:
             state = scheduler.state_dict()
             ledger = {
                 "mode": "sharded",
@@ -644,8 +621,6 @@ class Campaign:
                 ledger[f"shard:{shard_state['shard_id']}"] = shard_state
             for shard in scheduler.shards:
                 caches[f"shard:{shard.shard_id}"] = shard.cache.state_dict()
-        else:
-            ledger = {"mode": "single", "scheduler": scheduler.state_dict()}
 
         return {
             "version": SNAPSHOT_VERSION,
@@ -666,9 +641,8 @@ class Campaign:
             snapshot["votes"],
             section["reestimations"],
         )
-        engine = _build_engine(registry.original_pool(), config)
+        engine = CampaignEngine(registry.original_pool(), config)
         engine.registry = registry
-        engine.cache.load_state(snapshot["caches"]["campaign"])
         engine._clock = float(section["clock"])
         expected = section["expected_tasks"]
         engine._expected_tasks = None if expected is None else int(expected)
@@ -683,6 +657,14 @@ class Campaign:
         engine._queue = EventQueue.from_state(section["queue"])
         engine._rng.bit_generator.state = section["rng"]
         engine.metrics = EngineMetrics.from_state(section["metrics"])
+        engine.telemetry.load_state(section.get("telemetry"))
+        # Every accepted task id is a submission.  Checkpoints written
+        # before submissions were counted at ingest hold only the
+        # dispatched arrivals: top them up.
+        missing = len(engine._task_ids) - engine.metrics.submitted
+        if missing > 0:
+            engine.metrics.submitted += missing
+            engine.telemetry.inc("engine.tasks_submitted", missing)
         engine._ran = True  # the facade owns the loop from here on
         engine._active = {}
         for rt_state in section["active"]:
@@ -722,27 +704,22 @@ class Campaign:
                         prior=runtime.task.prior,
                     )
 
-        ledger = snapshot["ledger"]
+        ledger, caches = snapshot["ledger"], snapshot["caches"]
+        if ledger["mode"] == "single":
+            ledger, caches = _upgrade_single_ledger(ledger, caches, registry)
         if ledger["mode"] != "unstarted":
             engine._start()  # honors the restored _expected_tasks
-            if ledger["mode"] == "single":
-                engine.scheduler.load_state(ledger["scheduler"])
-            else:
-                engine.scheduler.load_state(
-                    {
-                        "allocator": ledger["allocator"],
-                        "migrations": ledger["migrations"],
-                        "shards": [
-                            ledger[f"shard:{k}"]
-                            for k in range(config.num_shards)
-                        ],
-                    }
-                )
-                for shard in engine.scheduler.shards:
-                    shard.cache.load_state(
-                        snapshot["caches"][f"shard:{shard.shard_id}"]
-                    )
-        engine.telemetry.load_state(section.get("telemetry"))
+            engine.scheduler.load_state(
+                {
+                    "allocator": ledger["allocator"],
+                    "migrations": ledger["migrations"],
+                    "shards": [
+                        ledger[f"shard:{k}"] for k in range(config.num_shards)
+                    ],
+                }
+            )
+            for shard in engine.scheduler.shards:
+                shard.cache.load_state(caches[f"shard:{shard.shard_id}"])
         self._config = config
         self._engine = engine
         engine._checkpoint_hook = self.checkpoint
@@ -754,3 +731,43 @@ class Campaign:
             # a resumed campaign's intake totals keep accumulating
             # instead of silently resetting to zero.
             self._ingest.intake.stats = IngestStats.from_state(intake_state)
+
+
+def _upgrade_single_ledger(ledger: dict, caches: dict, registry) -> tuple:
+    """Lift a ``"mode": "single"`` checkpoint — one scheduler that
+    paced its own budget, one campaign cache — into the one-shard
+    layout.  The scheduler's pacing ledger becomes the allocator's;
+    grants are booked as exactly what was reserved (``granted ==
+    reserved + reabsorbed`` with nothing re-absorbed), one round per
+    admitted batch; shard 0 holds every worker and the campaign
+    cache."""
+    old = ledger["scheduler"]
+    reserved = float(old["reserved"])
+    allocator = {
+        "entitled": old["entitled"],
+        "entitled_tasks": old["entitled_tasks"],
+        "reserved": reserved,
+        "refunded": old["refunded"],
+        "granted": reserved,
+        "reabsorbed": 0.0,
+        "rounds": old["stats"]["batches"],
+    }
+    shard = {
+        "shard_id": 0,
+        "member_ids": list(registry.worker_ids),
+        "migrations_in": 0,
+        "migrations_out": 0,
+        "granted": reserved,
+        "scheduler": {
+            key: value
+            for key, value in old.items()
+            if key not in ("refunded", "entitled", "entitled_tasks")
+        },
+    }
+    upgraded = {
+        "mode": "sharded",
+        "allocator": allocator,
+        "migrations": 0,
+        "shard:0": shard,
+    }
+    return upgraded, {"shard:0": caches["campaign"]}

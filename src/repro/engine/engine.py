@@ -1,13 +1,15 @@
 """The campaign engine: a deterministic event loop over shared state.
 
-This is the serving layer the one-shot library lacked.  One
+This is the serving core behind the
+:class:`~repro.engine.campaign.Campaign` facade.  One
 :class:`CampaignEngine` owns
 
 * a :class:`~repro.engine.state.WorkerRegistry` (capacity, load, spend,
   drifting quality estimates),
-* a campaign-wide :class:`~repro.engine.cache.JQCache`,
-* a :class:`~repro.engine.scheduler.CampaignScheduler` (budget pacing +
-  capacity-aware jury seating), and
+* a :class:`~repro.engine.sharding.ShardedScheduler` — ``num_shards``
+  shard schedulers, each with its own JQ cache, under the campaign's
+  one budget ledger (:class:`~repro.engine.sharding.BudgetAllocator`),
+  built on first use, and
 * an :class:`~repro.engine.metrics.EngineMetrics` accumulator,
 
 and advances them by draining an :class:`~repro.engine.events.EventQueue`:
@@ -20,7 +22,7 @@ and advances them by draining an :class:`~repro.engine.events.EventQueue`:
     when the posterior clears the confidence target with votes still
     outstanding the task **stops early** — outstanding votes are
     cancelled, their workers released, and the unspent reservation
-    refunded to the campaign budget.
+    refunded to the allocator's pot.
 ``task-complete``
     finalizes the verdict, releases seats, credits worker agreement
     stats, optionally triggers quality re-estimation, and retries any
@@ -35,15 +37,13 @@ throughput metric), never branched on.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 from ..core.worker import WorkerPool
 from ..online import OnlineDecisionSession
-from .cache import JQCache
 from .events import (
     EngineTask,
     Event,
@@ -54,179 +54,13 @@ from .events import (
 )
 from .ingest import AssignmentBook, NoOpenOffer
 from .metrics import EngineMetrics, TaskRecord
-from .scheduler import Assignment, CampaignScheduler
+from .scheduler import Assignment
+from .sharding import ShardedScheduler
 from .state import WorkerRegistry, informativeness_key
 from .telemetry import NULL_TELEMETRY, Telemetry
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tunables of one campaign.
-
-    Parameters
-    ----------
-    budget:
-        Total campaign budget across all tasks.
-    expected_tasks:
-        Expected campaign size, for budget pacing.  ``None`` means "the
-        tasks submitted before :meth:`CampaignEngine.run`".
-    capacity:
-        Max concurrent jury seats per worker.
-    batch_size:
-        Arrivals buffered before the scheduler runs.
-    alpha:
-        Selection prior ``Pr(t = 0)`` used by the JQ cache and
-        scheduler.  Per-task priors (``EngineTask.prior``) govern the
-        *aggregation* posterior of each task.
-    confidence_target:
-        Early-stop threshold for the per-task online session.
-    num_buckets:
-        JQ bucket resolution for large juries.
-    quantization:
-        JQ-cache key grid: ``None`` = exact keys, an int = grid steps
-        per unit, or ``"auto"`` (the default) to derive the grid from
-        ``num_buckets`` via
-        :func:`~repro.engine.cache.adaptive_quantization` (4 steps per
-        log-odds bucket — 200 at the default 50-bucket resolution).
-    cache_max_entries:
-        LRU bound on each JQ cache (``None`` = unbounded).  Applies to
-        the engine's campaign cache, and per shard in the sharded
-        engine.
-    frontier_pool_size:
-        Per-batch candidate pool size (exact frontier; up to
-        ``scheduler.MAX_FRONTIER_POOL`` — pools past ``ALL_SUBSETS_MAX``
-        build through the streamed lattice sweep).
-    reestimate_every:
-        Re-fit worker qualities after every N completed tasks
-        (0 disables).
-    reestimate_method / reestimate_rate:
-        Forwarded to :meth:`WorkerRegistry.reestimate`.
-    checkpoint_every:
-        Under the :class:`~repro.engine.campaign.Campaign` facade,
-        checkpoint the campaign to its backend after every N completed
-        tasks (0 disables) — bounds data loss on long runs without
-        manual :meth:`~repro.engine.campaign.Campaign.checkpoint`
-        calls.  Ignored by the bare engine (no backend to write to).
-    vote_latency:
-        Logical ticks between consecutive jurors' votes.
-    ingestion:
-        ``"sync"`` (default) is the classic pre-loaded event loop;
-        ``"async"`` serves through a thread-safe
-        :class:`~repro.engine.ingest.IntakeQueue`, so live traffic can
-        stream in (``submit`` from any thread, bounded backpressure)
-        while batches are being seated.  A campaign whose tasks are all
-        submitted before ``run`` is fingerprint-byte-identical either
-        way (pinned by the invariant harness).
-    ingest_max_pending:
-        Async backpressure bound: producers block once this many
-        submitted tasks await intake draining.
-    ingest_grace:
-        Async coalescing deadline (seconds): how long an idle serving
-        loop waits for straggler producers before finishing (or
-        returning from a paused run).  ``"auto"`` derives the deadline
-        from the engine's observed admit latency (EWMA) — slow admits
-        earn producers a longer window — falling back to 50 ms until
-        the first batch lands.
-    ingest_producer_quota:
-        Per-producer share of ``ingest_max_pending`` a single named
-        producer may occupy (a fraction in ``(0, 1]``; 0 disables).
-        Producers over their share block in ``submit`` until their own
-        staged tasks drain — per-producer backpressure, so one runaway
-        client cannot starve the rest of the intake queue.
-    telemetry:
-        ``"off"`` (default) serves with the no-op
-        :data:`~repro.engine.telemetry.NULL_TELEMETRY`; ``"on"`` attaches
-        a live :class:`~repro.engine.telemetry.Telemetry` hub (counters,
-        histograms, event trace, profiling spans).  Telemetry only
-        *observes* — decisions, RNG draws, and fingerprints are
-        byte-identical either way (pinned by the telemetry suite).
-    trace_path:
-        Under the Campaign facade, write a Chrome trace-event JSON file
-        here after every ``run()`` (requires ``telemetry="on"``; open it
-        in Perfetto).  Ignored by the bare engine.
-    metrics_interval:
-        Width (seconds) of the windowed intake/throughput rate buckets
-        in the telemetry snapshot.
-    vote_source:
-        ``"simulated"`` (default) draws every vote from the engine's
-        seeded RNG against each worker's true quality — the closed-loop
-        simulation mode.  ``"external"`` publishes seated juries as
-        open *offers* on an :class:`AssignmentBook` and applies only
-        votes delivered explicitly through
-        :meth:`CampaignEngine.deliver_vote` — the mode behind the HTTP
-        serving layer, where a real crowd is on the other end.  The
-        latent-truth draw for unlabeled tasks is identical in both
-        modes, so accuracy scoring works the same way.
-    seed:
-        Seed for the engine's single random generator (vote simulation
-        and latent-truth draws).
-    """
-
-    budget: float
-    expected_tasks: int | None = None
-    capacity: int = 4
-    batch_size: int = 25
-    alpha: float = UNINFORMATIVE_PRIOR
-    confidence_target: float = 0.97
-    num_buckets: int = 50
-    quantization: int | str | None = "auto"
-    cache_max_entries: int | None = None
-    frontier_pool_size: int = 10
-    reestimate_every: int = 0
-    reestimate_method: str = "one-coin"
-    reestimate_rate: float = 0.3
-    checkpoint_every: int = 0
-    vote_latency: float = 1.0
-    ingestion: str = "sync"
-    ingest_max_pending: int = 10_000
-    ingest_grace: float | str = 0.05
-    ingest_producer_quota: float = 0.0
-    telemetry: str = "off"
-    trace_path: str | None = None
-    metrics_interval: float = 1.0
-    vote_source: str = "simulated"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.reestimate_every < 0:
-            raise ValueError("reestimate_every must be >= 0")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.vote_latency <= 0:
-            raise ValueError("vote_latency must be positive")
-        if self.ingestion not in ("sync", "async"):
-            raise ValueError("ingestion must be 'sync' or 'async'")
-        if self.ingest_max_pending < 1:
-            raise ValueError("ingest_max_pending must be >= 1")
-        if self.ingest_grace != "auto":
-            if isinstance(self.ingest_grace, str) or self.ingest_grace <= 0:
-                raise ValueError(
-                    "ingest_grace must be positive (seconds) or 'auto'"
-                )
-        if not 0.0 <= self.ingest_producer_quota <= 1.0:
-            raise ValueError(
-                "ingest_producer_quota must lie in [0, 1] (0 disables)"
-            )
-        if self.telemetry not in ("off", "on"):
-            raise ValueError("telemetry must be 'off' or 'on'")
-        if self.vote_source not in ("simulated", "external"):
-            raise ValueError("vote_source must be 'simulated' or 'external'")
-        if self.metrics_interval <= 0:
-            raise ValueError("metrics_interval must be positive")
-        if not 0.5 <= self.confidence_target <= 1.0:
-            raise ValueError("confidence_target must lie in [0.5, 1]")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be >= 1 (or None)")
-        if self.quantization is not None and self.quantization != "auto":
-            if not isinstance(self.quantization, int) or self.quantization < 1:
-                raise ValueError(
-                    "quantization must be >= 1 grid steps, 'auto', or None"
-                )
-        validate_prior(self.alpha)
+if TYPE_CHECKING:  # pragma: no cover - import cycle (config -> sharding)
+    from .config import CampaignConfig
 
 
 @dataclass
@@ -245,44 +79,33 @@ class _TaskRuntime:
 class CampaignEngine:
     """Event-driven jury-selection serving for one campaign.
 
-    .. deprecated::
-        Direct construction is deprecated in favour of the
-        :class:`~repro.engine.campaign.Campaign` facade
-        (``Campaign.open(pool, CampaignConfig(...))``), which adds the
-        resumable lifecycle (``run(until=...)``, ``checkpoint()``,
-        ``resume()``) and pluggable persistent state backends.  This
-        class remains the engine core behind the facade; the classic
-        one-shot surface keeps working::
+    The engine core the :class:`~repro.engine.campaign.Campaign` facade
+    drives (``Campaign.open(pool, CampaignConfig(...))`` adds the
+    resumable lifecycle and persistent state backends, and
+    ``Campaign.engine`` returns this object).  Used on its own it
+    serves one campaign in one shot::
 
-            engine = CampaignEngine(pool, EngineConfig(budget=50, seed=7))
-            engine.submit(EngineTask(f"t{i}", ground_truth=...) for i in ...)
-            metrics = engine.run()
-            print(metrics.render(budget=50))
+        engine = CampaignEngine(pool, CampaignConfig(budget=50, seed=7))
+        engine.submit(EngineTask(f"t{i}", ground_truth=...) for i in ...)
+        metrics = engine.run()
+        print(metrics.render(budget=50))
     """
 
     def __init__(
         self,
         pool: WorkerPool,
-        config: EngineConfig,
+        config: CampaignConfig,
         initial_quality: float | dict[str, float] | None = None,
     ) -> None:
-        if type(self) is CampaignEngine:
-            warnings.warn(
-                "CampaignEngine is deprecated; use "
-                "repro.engine.Campaign.open(pool, CampaignConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.config = config
         self.registry = WorkerRegistry(
             pool, capacity=config.capacity, initial_quality=initial_quality
         )
-        self.cache = JQCache(
-            alpha=config.alpha,
-            num_buckets=config.num_buckets,
-            quantization=config.quantization,
-            max_entries=config.cache_max_entries,
-        )
+        if config.num_shards > len(self.registry):
+            raise ValueError(
+                f"num_shards ({config.num_shards}) cannot exceed the "
+                f"pool size ({len(self.registry)})"
+            )
         self.metrics = EngineMetrics()
         self.telemetry = (
             Telemetry(interval=config.metrics_interval)
@@ -295,7 +118,7 @@ class CampaignEngine:
         self.offers: AssignmentBook | None = (
             AssignmentBook() if config.vote_source == "external" else None
         )
-        self.scheduler: CampaignScheduler | None = None
+        self.scheduler: ShardedScheduler | None = None
         self._queue = EventQueue()
         self._rng = np.random.default_rng(config.seed)
         self._batch: list[EngineTask] = []
@@ -337,6 +160,10 @@ class CampaignEngine:
         times at submission, under the intake mutex, and drains them
         here on the loop thread).  The event heap is not thread-safe:
         only the thread driving the loop may call this.
+
+        A task counts as submitted here, when it is accepted — not when
+        its arrival event is dispatched — so a campaign checkpointed
+        before its loop reaches the arrival still reports it.
         """
         count = 0
         for arrival_time, task in stamped_tasks:
@@ -348,6 +175,8 @@ class CampaignEngine:
                 raise ValueError(f"duplicate task id {task.task_id!r}")
             self._task_ids.add(task.task_id)
             self._queue.push(TaskArrival(float(arrival_time), task))
+            self.metrics.submitted += 1
+            self.telemetry.inc("engine.tasks_submitted")
             count += 1
         return count
 
@@ -379,7 +208,12 @@ class CampaignEngine:
                 self._expected_tasks = self.config.expected_tasks or max(
                     self._queue.pending(TaskArrival), 1
                 )
-            self.scheduler = self._make_scheduler(self._expected_tasks)
+            self.scheduler = ShardedScheduler(
+                self.registry,
+                self.config,
+                self._expected_tasks,
+                telemetry=self.telemetry,
+            )
 
     def _step(self) -> None:
         """Pop and dispatch exactly one event."""
@@ -407,23 +241,11 @@ class CampaignEngine:
         self._deferred = []
         self._collect_stats()
 
-    def _make_scheduler(self, expected_tasks: int):
-        """Build this campaign's scheduler.  Subclass hook: the sharded
-        engine returns a coordinator with the same ``admit``/``refund``
-        surface instead of a single :class:`CampaignScheduler`."""
-        return CampaignScheduler(
-            self.registry,
-            self.cache,
-            budget=self.config.budget,
-            expected_tasks=expected_tasks,
-            frontier_pool_size=self.config.frontier_pool_size,
-            telemetry=self.telemetry,
-        )
-
     def _telemetry_gauges(self):
         """Pull-based gauges for the telemetry snapshot (collector: read
-        only at export time, zero hot-path cost)."""
-        yield from self.cache.stats.telemetry_gauges()
+        only at export time, zero hot-path cost).  Cache and shard
+        gauges come from the scheduler's own collector, labelled by
+        shard."""
         yield "registry.active_seats", {}, float(self.registry.active_seats)
         yield "registry.total_capacity", {}, float(
             self.registry.total_capacity
@@ -435,16 +257,19 @@ class CampaignEngine:
             yield "engine.open_offers", {}, float(self.offers.open_count)
 
     def _collect_stats(self) -> None:
-        """Fold end-of-run state into the metrics.  Subclass hook: the
-        sharded engine aggregates per-shard caches and attaches shard
-        and allocator snapshots."""
+        """Fold end-of-run state into the metrics: registry gauges, the
+        shard caches pooled into one set of cache counters, and the
+        shard and allocator snapshots."""
         self.metrics.peak_worker_load = self.registry.peak_load
-        self.metrics.cache_stats = self.cache.stats
         self.metrics.reestimations = self.registry.reestimations
         if self.registry.reestimations:
             self.metrics.quality_estimation_error = (
                 self.registry.estimation_error()
             )
+        scheduler = self.scheduler
+        self.metrics.cache_stats = scheduler.merged_cache_stats()
+        self.metrics.shard_snapshots = scheduler.shard_snapshots()
+        self.metrics.allocator_snapshot = scheduler.allocator.snapshot()
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -461,8 +286,6 @@ class CampaignEngine:
 
     def _on_arrival(self, event: TaskArrival) -> None:
         self._batch.append(event.task)
-        self.metrics.submitted += 1
-        self.telemetry.inc("engine.tasks_submitted")
         self.telemetry.mark("intake")
         if (
             len(self._batch) >= self.config.batch_size
@@ -655,7 +478,7 @@ class CampaignEngine:
             # early stop left unspent.
             for worker_id in assignment.jury.worker_ids:
                 self.registry.release(worker_id, event.task_id)
-            self.scheduler.refund(assignment.reserved_cost - spent)
+            self.scheduler.allocator.refund(assignment.reserved_cost - spent)
             self.registry.resolve(event.task_id, answer)
             self.metrics.record_task(
                 TaskRecord(

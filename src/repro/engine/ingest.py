@@ -240,8 +240,8 @@ class IntakeQueue:
     ) -> int:
         """Stage task arrivals at evenly spaced logical times.
 
-        Mirrors :meth:`CampaignEngine.submit` — same signature, same
-        time stamping — but is safe from any thread and enforces the
+        Mirrors :meth:`Campaign.submit <repro.engine.campaign.Campaign.submit>`
+        on a sync campaign — same signature, same time stamping — but is safe from any thread and enforces the
         backpressure bound.  Blocks while the queue is full; raises
         :class:`IngestionOverflow` when ``timeout`` (seconds, per task)
         expires first, :class:`IngestionClosed` once the queue closed.
@@ -624,7 +624,8 @@ class AsyncIngestLoop:
         spacing: float = 1.0,
         timeout: float | None = None,
     ) -> int:
-        """Thread-safe :meth:`CampaignEngine.submit` (see
+        """Thread-safe :meth:`Campaign.submit
+        <repro.engine.campaign.Campaign.submit>` (see
         :meth:`IntakeQueue.submit` for blocking semantics)."""
         return self.intake.submit(tasks, start_time, spacing, timeout)
 

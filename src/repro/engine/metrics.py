@@ -247,9 +247,9 @@ class EngineMetrics:
         Covers every task record (full float precision) and the
         campaign counters, and deliberately excludes wall-clock-derived
         values (``wall_seconds``, throughput) and the shard/allocator
-        snapshots — so two runs of the same seeded campaign, or a
-        single-shard run vs. the plain engine, compare byte-identical
-        exactly when their *decisions* were identical.
+        snapshots — so two runs of the same seeded campaign (resumed
+        or not, over HTTP or in process, telemetry on or off) compare
+        byte-identical exactly when their *decisions* were identical.
         """
         lines = [
             f"{r.task_id}|{r.answer}|{r.confidence!r}|{r.predicted_jq!r}"

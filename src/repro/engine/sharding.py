@@ -1,65 +1,47 @@
-"""Sharded worker pools under a top-level budget allocator.
+"""Shard schedulers under one top-level budget allocator.
 
-The exact cost-JQ frontier enumerates ``2^k`` juries, which caps any
-one scheduler's candidate pool at ~12 workers — a hard ceiling the
-single-scheduler engine inherits no matter how many workers register.
-This module lifts that ceiling *structurally* instead of numerically:
+Every campaign is served by K >= 1 shards (``CampaignConfig.num_shards``;
+one shard holds every worker):
 
 * the global :class:`~repro.engine.state.WorkerRegistry` is partitioned
   into K **shards** (a stratified most-informative-first deal, so every
   shard starts with a comparable quality profile);
 * each shard gets its own :class:`~repro.engine.scheduler.CampaignScheduler`
   and :class:`~repro.engine.cache.JQCache`, so every frontier is built
-  over at most one shard's members and stays inside the exact cap;
-* a top-level :class:`BudgetAllocator` paces the campaign budget
-  globally and splits each scheduling round's entitlement across shards
-  **proportional to shard quality mass**, re-absorbing unspent grants
-  and early-stop refunds into the shared pot each round;
+  over at most one shard's members — K shards engage K times the
+  candidate workers at the same per-frontier cost;
+* a top-level :class:`BudgetAllocator` — the campaign's only budget
+  ledger — paces the campaign budget globally and splits each
+  scheduling round's entitlement across shards **proportional to shard
+  quality mass**, re-absorbing unspent grants and early-stop refunds
+  into the shared pot each round;
 * a routing policy (``hash``, ``least-loaded``, ``quality-balanced``)
   assigns arriving tasks to shards, and **rebalancing** migrates idle
   workers from underloaded to overloaded shards when load skews.
 
 The DB-nets line of work (Montali & Rivkin) treats state transitions of
-a data-aware process as explicit, checkable invariants; the sharded
-engine is built to the same discipline — every grant, reservation,
-re-absorption, and refund flows through one allocator ledger whose
-conservation laws are asserted by ``tests/engine/test_invariants.py``.
+a data-aware process as explicit, checkable invariants; the engine is
+built to the same discipline — every grant, reservation, re-absorption,
+and refund flows through one allocator ledger whose conservation laws
+are asserted by ``tests/engine/test_invariants.py``.
 
 Worker *state* stays global: seats, spend, vote history, and EM quality
 re-estimation still live in the one registry, so sharding changes who
 *schedules* a worker, never what is known about them.
-
-Usage::
-
-    engine = ShardedCampaignEngine(pool, config, ShardingConfig(4))
-    engine.submit(...)
-    metrics = engine.run()   # identical surface to CampaignEngine
-
-With ``ShardingConfig(1)`` the sharded engine reproduces the plain
-:class:`~repro.engine.engine.CampaignEngine` byte-for-byte (same seed
-=> same :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`), which
-the regression suite pins.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..core.worker import WorkerPool
 from .cache import CacheStats, JQCache
-from .engine import CampaignEngine, EngineConfig
 from .events import EngineTask
 from .metrics import AllocatorSnapshot, ShardSnapshot
-from .scheduler import (
-    Assignment,
-    CampaignScheduler,
-    SchedulerStats,
-    pro_rata_round_budget,
-)
+from .scheduler import Assignment, CampaignScheduler, SchedulerStats
 from .state import (
     WorkerRegistry,
     WorkerState,
@@ -68,53 +50,16 @@ from .state import (
 )
 from .telemetry import NULL_TELEMETRY
 
-#: Routing policies understood by :class:`ShardingConfig`.
+if TYPE_CHECKING:  # pragma: no cover - import cycle (config -> sharding)
+    from .config import CampaignConfig
+
+#: Routing policies understood by ``CampaignConfig.routing_policy``.
 ROUTING_POLICIES = ("hash", "least-loaded", "quality-balanced")
 
 #: Rebalancing never strips a shard below this many members — a shard
 #: with one worker left cannot meaningfully seat juries, let alone
 #: donate.
 MIN_SHARD_MEMBERS = 2
-
-
-@dataclass(frozen=True)
-class ShardingConfig:
-    """Tunables of the sharded serving layer.
-
-    Parameters
-    ----------
-    num_shards:
-        Number of shards (>= 1; at most the pool size).
-    policy:
-        Task-routing policy: ``"hash"`` (stable id hash — sticky and
-        stateless), ``"least-loaded"`` (lowest seat-utilisation shard),
-        or ``"quality-balanced"`` (highest available quality mass per
-        in-flight task).
-    rebalance_threshold:
-        Migrate idle workers when the gap between the most- and
-        least-utilised shard's seat ratio exceeds this (``1.0``
-        effectively disables rebalancing — the gap never exceeds 1).
-    rebalance_max_moves:
-        Max workers migrated per scheduling round (0 disables).
-    """
-
-    num_shards: int
-    policy: str = "hash"
-    rebalance_threshold: float = 0.25
-    rebalance_max_moves: int = 2
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if self.policy not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {self.policy!r} "
-                f"(expected one of {', '.join(ROUTING_POLICIES)})"
-            )
-        if not 0.0 < self.rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must lie in (0, 1]")
-        if self.rebalance_max_moves < 0:
-            raise ValueError("rebalance_max_moves must be >= 0")
 
 
 class ShardRegistryView:
@@ -232,17 +177,17 @@ class ShardRegistryView:
 
 
 class BudgetAllocator:
-    """Top-level budget ledger for a sharded campaign.
+    """The campaign's budget ledger.
 
-    Reproduces the single scheduler's pro-rata pacing at campaign scope
-    — cumulative *entitlement* grows with each distinct task admitted,
-    a round may grant at most the entitlement not yet (net) reserved —
-    then splits each round's budget across shards proportional to their
-    available quality mass.  Shards reserve out of their grant; whatever
-    a grant leaves unreserved is **re-absorbed** immediately (it was
-    never debited), and early-stop refunds flow back here rather than
-    to any one shard, so the whole campaign — not the lucky shard —
-    re-spends them.
+    Paces the budget pro rata at campaign scope — cumulative
+    *entitlement* grows with each distinct task admitted, a round may
+    grant at most the entitlement not yet (net) reserved — then splits
+    each round's budget across shards proportional to their available
+    quality mass.  Shards reserve out of their grant; whatever a grant
+    leaves unreserved is **re-absorbed** immediately (it was never
+    debited), and early-stop refunds flow back here rather than to any
+    one shard, so the whole campaign — not the lucky shard — re-spends
+    them.
 
     Conservation laws (asserted by the invariant harness):
 
@@ -306,26 +251,26 @@ class BudgetAllocator:
     def open_round(self, task_ids: Iterable[str]) -> float:
         """Start a scheduling round; returns the round's budget.
 
-        Entitlement grows once per *distinct* task id — deferred tasks
-        retried across rounds must not mint fresh shares.  The pacing
-        arithmetic is :func:`~repro.engine.scheduler.pro_rata_round_budget`
-        — the same function the single scheduler paces itself with,
-        applied campaign-wide, which is what makes the pinned
-        single-shard byte-identity structural.
+        Each *distinct* new task id grows the cumulative entitlement by
+        its pro-rata share ``budget / expected_tasks`` (capped at the
+        budget) — deferred tasks retried across rounds must not mint
+        fresh shares.  A round may spend up to the entitlement not yet
+        (net) reserved, and never more than what remains of the budget,
+        so early arrivals cannot starve the rest of the campaign while
+        unspent shares and early-stop refunds carry over to later
+        rounds instead of being forfeited.
         """
         with self._mutex:
             self._rounds += 1
             new_ids = set(task_ids) - self._entitled_tasks
             self._entitled_tasks |= new_ids
-            self._entitled, round_budget = pro_rata_round_budget(
-                self.budget,
-                self.expected_tasks,
-                self._entitled,
-                len(new_ids),
-                self._reserved,
-                self._refunded,
+            share = self.budget * len(new_ids) / self.expected_tasks
+            self._entitled = min(self._entitled + share, self.budget)
+            net_reserved = self._reserved - self._refunded
+            return min(
+                self.remaining_budget,
+                max(self._entitled - net_reserved, 0.0),
             )
-            return round_budget
 
     def split(
         self, round_budget: float, masses: Mapping[int, float]
@@ -343,8 +288,7 @@ class BudgetAllocator:
         round_budget = max(float(round_budget), 0.0)
         if len(masses) == 1:
             # Sole recipient takes the round exactly — no proportional
-            # arithmetic, so a one-shard campaign's grants match the
-            # single scheduler's pacing bit-for-bit.
+            # arithmetic to round the grant away from the paced budget.
             grants = {next(iter(masses)): round_budget}
             with self._mutex:
                 self._granted += round_budget
@@ -472,14 +416,13 @@ def partition_members(
 class ShardedScheduler:
     """Routes task batches to shards under one budget allocator.
 
-    Presents the same ``admit`` / ``refund`` / ``stats`` surface as
-    :class:`CampaignScheduler`, so the engine event loop drives either
-    interchangeably.  Per round it (1) opens the allocator's round,
-    (2) routes each task to a shard, (3) grants each participating
-    shard its quality-mass share of the round budget, (4) lets each
-    shard's scheduler admit its sub-batch inside its grant, settling
-    reservations and re-absorbing the unspent remainder, and (5)
-    rebalances idle workers if shard load has skewed.
+    The engine's scheduling layer.  Per round it (1) opens the
+    allocator's round, (2) routes each task to a shard, (3) grants each
+    participating shard its quality-mass share of the round budget,
+    (4) lets each shard's scheduler admit its sub-batch inside its
+    grant, settling reservations and re-absorbing the unspent
+    remainder, and (5) rebalances idle workers if shard load has
+    skewed.
 
     Step (4) runs the shard admits one after another on the loop
     thread, in shard-id order, settling each shard's grant as soon as
@@ -490,18 +433,17 @@ class ShardedScheduler:
     def __init__(
         self,
         registry: WorkerRegistry,
-        config: EngineConfig,
-        sharding: ShardingConfig,
+        config: CampaignConfig,
         expected_tasks: int,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.registry = registry
-        self.sharding = sharding
+        self.config = config
         self.telemetry = telemetry
         self.allocator = BudgetAllocator(config.budget, expected_tasks)
         self.shards: list[Shard] = []
         for shard_id, member_ids in enumerate(
-            partition_members(registry, sharding.num_shards)
+            partition_members(registry, config.num_shards)
         ):
             view = ShardRegistryView(registry, member_ids)
             cache = JQCache(
@@ -513,8 +455,6 @@ class ShardedScheduler:
             scheduler = CampaignScheduler(
                 view,
                 cache,
-                budget=config.budget,
-                expected_tasks=expected_tasks,
                 frontier_pool_size=config.frontier_pool_size,
                 telemetry=telemetry,
                 shard_id=shard_id,
@@ -535,7 +475,7 @@ class ShardedScheduler:
             yield "shard.reserved", labels, shard.scheduler.reserved
 
     # ------------------------------------------------------------------
-    # The CampaignScheduler surface
+    # Admission
     # ------------------------------------------------------------------
     def admit(
         self, tasks: Sequence[EngineTask]
@@ -599,9 +539,6 @@ class ShardedScheduler:
         self.rebalance()
         return assignments, deferred
 
-    def refund(self, amount: float) -> None:
-        self.allocator.refund(amount)
-
     @property
     def stats(self) -> SchedulerStats:
         merged = SchedulerStats()
@@ -624,7 +561,7 @@ class ShardedScheduler:
         """Assign each task to a shard; returns shard id -> sub-batch
         (task order preserved within each shard)."""
         routed: dict[int, list[EngineTask]] = {}
-        if self.sharding.policy == "hash":
+        if self.config.routing_policy == "hash":
             for task in tasks:
                 shard_id = (
                     zlib.crc32(task.task_id.encode("utf-8"))
@@ -640,7 +577,7 @@ class ShardedScheduler:
         # yet), so the live aggregates are computed once per round.
         pending = [0] * len(self.shards)
         seats = [shard.view.active_seats for shard in self.shards]
-        if self.sharding.policy == "least-loaded":
+        if self.config.routing_policy == "least-loaded":
             capacity = [
                 max(shard.view.total_capacity, 1) for shard in self.shards
             ]
@@ -670,14 +607,15 @@ class ShardedScheduler:
         """Migrate idle workers from the least- to the most-utilised
         shard when seat-load skew exceeds the configured threshold.
         Returns the number of workers moved."""
-        if len(self.shards) < 2 or self.sharding.rebalance_max_moves == 0:
+        max_moves = self.config.rebalance_max_moves
+        if len(self.shards) < 2 or max_moves == 0:
             return 0
         by_ratio = sorted(
             self.shards, key=lambda s: (s.view.load_ratio, s.shard_id)
         )
         donor, needy = by_ratio[0], by_ratio[-1]
         skew = needy.view.load_ratio - donor.view.load_ratio
-        if skew <= self.sharding.rebalance_threshold:
+        if skew <= self.config.rebalance_threshold:
             return 0
         idle = sorted(
             (s for s in donor.view.states if s.load == 0),
@@ -685,7 +623,7 @@ class ShardedScheduler:
         )
         moved = 0
         for state in idle:
-            if moved >= self.sharding.rebalance_max_moves:
+            if moved >= max_moves:
                 break
             if len(donor.view) <= MIN_SHARD_MEMBERS:
                 break
@@ -761,80 +699,6 @@ class ShardedScheduler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedScheduler({len(self.shards)} shards, "
-            f"policy={self.sharding.policy!r}, "
+            f"policy={self.config.routing_policy!r}, "
             f"migrations={self.migrations})"
         )
-
-
-class ShardedCampaignEngine(CampaignEngine):
-    """A :class:`CampaignEngine` whose scheduling layer is sharded.
-
-    .. deprecated::
-        Direct construction is deprecated in favour of the
-        :class:`~repro.engine.campaign.Campaign` facade with
-        ``CampaignConfig(num_shards=K)`` — shard count is a config
-        field there, not a class choice.  This class remains the
-        sharded engine core behind the facade.
-
-    Identical submission/run surface; the event loop, vote simulation,
-    early stopping, and re-estimation are all inherited untouched.  Only
-    the scheduler hook differs: batches are routed across K shard
-    schedulers under a :class:`BudgetAllocator` instead of admitted by
-    one scheduler.  With ``ShardingConfig(1)`` the engine is
-    byte-identical to the plain one on the same seed.
-    """
-
-    def __init__(
-        self,
-        pool: WorkerPool,
-        config: EngineConfig,
-        sharding: ShardingConfig | int,
-        initial_quality: float | dict[str, float] | None = None,
-    ) -> None:
-        if type(self) is ShardedCampaignEngine:
-            warnings.warn(
-                "ShardedCampaignEngine is deprecated; use "
-                "repro.engine.Campaign.open(pool, "
-                "CampaignConfig(num_shards=K, ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if isinstance(sharding, int):
-            sharding = ShardingConfig(sharding)
-        super().__init__(pool, config, initial_quality=initial_quality)
-        if sharding.num_shards > len(self.registry):
-            raise ValueError(
-                f"num_shards ({sharding.num_shards}) cannot exceed the "
-                f"pool size ({len(self.registry)})"
-            )
-        self.sharding = sharding
-
-    def _make_scheduler(self, expected_tasks: int) -> ShardedScheduler:
-        return ShardedScheduler(
-            self.registry,
-            self.config,
-            self.sharding,
-            expected_tasks,
-            telemetry=self.telemetry,
-        )
-
-    def _telemetry_gauges(self):
-        # The campaign-level cache is unused when sharded; the per-shard
-        # caches report through the ShardedScheduler collector instead.
-        yield "registry.active_seats", {}, float(self.registry.active_seats)
-        yield "registry.total_capacity", {}, float(
-            self.registry.total_capacity
-        )
-        yield "registry.peak_load", {}, float(self.registry.peak_load)
-        yield "engine.tasks_active", {}, float(len(self._active))
-        yield "engine.tasks_deferred", {}, float(len(self._deferred))
-
-    def _collect_stats(self) -> None:
-        super()._collect_stats()
-        scheduler = self.scheduler
-        assert isinstance(scheduler, ShardedScheduler)
-        # The base class reported the (unused) campaign cache; the JQ
-        # work lives in the per-shard caches.
-        self.metrics.cache_stats = scheduler.merged_cache_stats()
-        self.metrics.shard_snapshots = scheduler.shard_snapshots()
-        self.metrics.allocator_snapshot = scheduler.allocator.snapshot()

@@ -130,19 +130,18 @@ class TestSQLiteBackend:
             w for (w,) in conn.execute("SELECT DISTINCT worker_id FROM votes")
         }
         assert vote_workers <= workers
-        # Per-shard caches landed as distinct cache ids (the sharded
-        # engine's campaign-level cache is empty, so it contributes a
-        # ledger meta row but no entry rows).
+        # Per-shard caches landed as distinct cache ids, one ledger
+        # meta row each (the shard caches are the only caches).
         cache_ids = {
             c for (c,) in conn.execute("SELECT DISTINCT cache_id FROM cache")
         }
-        assert {"shard:0", "shard:1"} <= cache_ids
+        assert cache_ids == {"shard:0", "shard:1"}
         meta_scopes = {
             s for (s,) in conn.execute(
                 "SELECT scope FROM ledger WHERE scope LIKE 'cache-meta:%'"
             )
         }
-        assert "cache-meta:campaign" in meta_scopes
+        assert meta_scopes == {"cache-meta:shard:0", "cache-meta:shard:1"}
         conn.close()
 
     def test_floats_survive_exactly(self, tmp_path):
@@ -156,8 +155,8 @@ class TestSQLiteBackend:
             assert restored["est_quality"] == original["est_quality"]
             assert restored["spend"] == original["spend"]
         for (key_a, value_a), (key_b, value_b) in zip(
-            snapshot["caches"]["campaign"]["entries"],
-            loaded["caches"]["campaign"]["entries"],
+            snapshot["caches"]["shard:0"]["entries"],
+            loaded["caches"]["shard:0"]["entries"],
         ):
             assert list(key_a) == list(key_b)
             assert value_a == value_b

@@ -1,5 +1,5 @@
-"""The Campaign facade: lifecycle, unified config, resumable stepping,
-equivalence with the deprecated engine entry points."""
+"""The Campaign facade: lifecycle, the one campaign config, resumable
+stepping, and submission accounting across checkpoints."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,8 @@ import pytest
 from repro.engine import (
     Campaign,
     CampaignConfig,
-    CampaignEngine,
-    EngineConfig,
     EngineTask,
     MemoryBackend,
-    ShardedCampaignEngine,
-    ShardingConfig,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -47,36 +43,40 @@ def make_campaign(num_shards=1, seed=5, backend=None, **overrides):
 
 
 class TestCampaignConfig:
-    def test_engine_view_forwards_every_engine_field(self):
-        config = CampaignConfig(
-            budget=9.0, capacity=2, batch_size=7, seed=3, num_shards=4
-        )
-        engine_config = config.engine_config()
-        assert isinstance(engine_config, EngineConfig)
-        assert engine_config.budget == 9.0
-        assert engine_config.capacity == 2
-        assert engine_config.batch_size == 7
-        assert engine_config.seed == 3
+    #: One rejected value per validated field (the keyword arguments
+    #: beside ``budget``).
+    INVALID = (
+        {"budget": -1.0},
+        {"batch_size": 0},
+        {"reestimate_every": -1},
+        {"checkpoint_every": -1},
+        {"vote_latency": 0.0},
+        {"ingestion": "threaded"},
+        {"ingest_max_pending": 0},
+        {"ingest_grace": 0.0},
+        {"ingest_grace": "soon"},
+        {"ingest_producer_quota": 1.5},
+        {"telemetry": "verbose"},
+        {"vote_source": "oracle"},
+        {"metrics_interval": 0.0},
+        {"confidence_target": 0.3},
+        {"confidence_target": 1.1},
+        {"cache_max_entries": 0},
+        {"quantization": 0},
+        {"quantization": "fine"},
+        {"alpha": 1.5},
+        {"num_shards": 0},
+        {"routing_policy": "round-robin"},
+        {"rebalance_threshold": 0.0},
+        {"rebalance_max_moves": -1},
+        {"serve_port": 70000},
+        {"lease_ttl": 0.0},
+    )
 
-    def test_sharding_view(self):
-        config = CampaignConfig(
-            budget=1.0, num_shards=4, routing_policy="least-loaded"
-        )
-        sharding = config.sharding_config()
-        assert isinstance(sharding, ShardingConfig)
-        assert sharding.num_shards == 4
-        assert sharding.policy == "least-loaded"
-        assert CampaignConfig(budget=1.0).sharding_config() is None
-
-    def test_validation_delegates_to_subsumed_configs(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=-1.0)
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, num_shards=0)
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, routing_policy="round-robin")
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, quantization=0)
+    def test_validation_rejects_every_bad_field(self):
+        for bad in self.INVALID:
+            with pytest.raises(ValueError):
+                CampaignConfig(**{"budget": 1.0, **bad})
 
     def test_dict_round_trip(self):
         config = CampaignConfig(
@@ -120,42 +120,11 @@ class TestCampaignConfig:
         resumed = Campaign.resume(backend)
         assert resumed.run().fingerprint() == reference
 
-    def test_lift_from_legacy_configs(self):
-        engine_config = EngineConfig(budget=5.0, capacity=3, seed=2)
-        config = CampaignConfig.from_engine_config(
-            engine_config, ShardingConfig(3, policy="quality-balanced")
-        )
-        assert config.budget == 5.0
-        assert config.capacity == 3
-        assert config.num_shards == 3
-        assert config.routing_policy == "quality-balanced"
-        assert config.engine_config() == engine_config
 
 
 class TestFacadeEquivalence:
-    """The facade must reproduce the deprecated entry points bit-for-bit
-    — migration changes spelling, never campaign decisions."""
-
-    def test_matches_campaign_engine(self):
-        with pytest.deprecated_call():
-            engine = CampaignEngine(
-                make_pool(),
-                EngineConfig(budget=30.0, confidence_target=0.95, seed=5),
-            )
-        engine.submit(make_tasks())
-        legacy = engine.run().fingerprint()
-        assert make_campaign().run().fingerprint() == legacy
-
-    def test_matches_sharded_campaign_engine(self):
-        with pytest.deprecated_call():
-            engine = ShardedCampaignEngine(
-                make_pool(),
-                EngineConfig(budget=30.0, confidence_target=0.95, seed=5),
-                ShardingConfig(4),
-            )
-        engine.submit(make_tasks())
-        legacy = engine.run().fingerprint()
-        assert make_campaign(num_shards=4).run().fingerprint() == legacy
+    """Stepping is a schedule, not a decision: pausing and resuming the
+    loop reproduces the one-shot campaign bit-for-bit."""
 
     def test_paused_and_drained_equals_one_shot(self):
         one_shot = make_campaign().run().fingerprint()
@@ -277,3 +246,29 @@ class TestWarmCacheShipping:
         target.import_cache(path)
         for shard in target.engine.scheduler.shards:
             assert shard.cache.stats.entries > 0
+
+
+class TestSubmissionAccounting:
+    """A task counts as submitted once the engine accepts it, not once
+    its arrival event is dispatched: a campaign checkpointed before its
+    loop reaches the arrivals must still report them, live and after
+    resume."""
+
+    @pytest.mark.parametrize("ingestion", ["sync", "async"])
+    def test_checkpoint_before_dispatch_reports_submissions(
+        self, ingestion
+    ):
+        backend = MemoryBackend()
+        campaign = Campaign.open(
+            make_pool(),
+            CampaignConfig(budget=5.0, ingestion=ingestion, seed=3),
+            backend=backend,
+        )
+        campaign.submit(make_tasks(num_tasks=3))
+        campaign.checkpoint()
+        assert campaign.snapshot_metrics()["submitted"] == 3
+        campaign.close()
+        resumed = Campaign.resume(backend)
+        assert resumed.metrics.submitted == 3
+        metrics = resumed.run()
+        assert metrics.submitted == metrics.completed == 3

@@ -2,7 +2,7 @@
 
 The DB-nets direction in PAPERS.md treats state transitions of a
 data-aware process as explicit, checkable invariants.  This suite makes
-that executable for the (sharded) campaign engine: seeded randomized
+that executable for the campaign engine: seeded randomized
 campaigns across pool sizes, shard counts, and routing policies, with
 the global serving invariants asserted **after every event** the loop
 dispatches:
@@ -16,8 +16,10 @@ dispatches:
 
 End-of-run laws (refund conservation across shard re-absorption, spend
 reconciliation between registry and metrics, every submitted task
-completing) and **byte-identical replay** for identical seeds round out
-the harness.
+completing), **byte-identical replay** for identical seeds, and
+**recorded decisions** — golden campaigns and checkpoints written by an
+earlier release, whose decisions a resumed or fresh run must reproduce
+— round out the harness.
 
 The second half is the *concurrency* stress harness for the async
 ingestion path (`repro.engine.ingest`): the same per-event laws under
@@ -28,6 +30,8 @@ deterministic-mode pins — a preloaded or run-boundary-fed async
 campaign must reproduce the sync path's fingerprint.
 """
 
+import json
+import pathlib
 import threading
 
 import numpy as np
@@ -37,28 +41,25 @@ from repro.engine import (
     AsyncIngestLoop,
     Campaign,
     CampaignConfig,
-    CampaignEngine,
-    EngineConfig,
     EngineTask,
     InterleavingSchedule,
     MemoryBackend,
     SQLiteBackend,
-    ShardedCampaignEngine,
-    ShardedScheduler,
-    ShardingConfig,
 )
+from repro.engine.engine import CampaignEngine
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
 EPS = 1e-9
 SEEDS = (1, 7, 13, 42, 2015)
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class InvariantViolation(AssertionError):
     pass
 
 
-class _CheckedMixin:
-    """Engine mixin asserting the global invariants after every event."""
+class CheckedEngine(CampaignEngine):
+    """Engine asserting the global invariants after every event."""
 
     def _dispatch(self, event):
         super()._dispatch(event)
@@ -80,35 +81,30 @@ class _CheckedMixin:
         scheduler = self.scheduler
         if scheduler is None:
             return
-        if isinstance(scheduler, ShardedScheduler):
-            allocator = scheduler.allocator
-            gross_reserved = allocator.reserved
-            refunded = allocator.refunded
-            if allocator.entitled > budget + EPS:
-                raise InvariantViolation(
-                    f"entitled {allocator.entitled} beyond budget {budget}"
-                )
-            ledger_gap = abs(
-                allocator.granted
-                - (allocator.reserved + allocator.reabsorbed)
+        allocator = scheduler.allocator
+        gross_reserved = allocator.reserved
+        refunded = allocator.refunded
+        if allocator.entitled > budget + EPS:
+            raise InvariantViolation(
+                f"entitled {allocator.entitled} beyond budget {budget}"
             )
-            if ledger_gap > 1e-6:
-                raise InvariantViolation(
-                    f"allocator ledger leaks: granted {allocator.granted} "
-                    f"!= reserved {allocator.reserved} "
-                    f"+ reabsorbed {allocator.reabsorbed}"
-                )
-            shard_reserved = sum(
-                shard.scheduler.reserved for shard in scheduler.shards
+        ledger_gap = abs(
+            allocator.granted - (allocator.reserved + allocator.reabsorbed)
+        )
+        if ledger_gap > 1e-6:
+            raise InvariantViolation(
+                f"allocator ledger leaks: granted {allocator.granted} "
+                f"!= reserved {allocator.reserved} "
+                f"+ reabsorbed {allocator.reabsorbed}"
             )
-            if abs(shard_reserved - gross_reserved) > 1e-6:
-                raise InvariantViolation(
-                    f"shard reservations {shard_reserved} diverge from "
-                    f"allocator ledger {gross_reserved}"
-                )
-        else:
-            gross_reserved = scheduler.reserved
-            refunded = scheduler.refunded
+        shard_reserved = sum(
+            shard.scheduler.reserved for shard in scheduler.shards
+        )
+        if abs(shard_reserved - gross_reserved) > 1e-6:
+            raise InvariantViolation(
+                f"shard reservations {shard_reserved} diverge from "
+                f"allocator ledger {gross_reserved}"
+            )
 
         if gross_reserved - refunded > budget + 1e-6:
             raise InvariantViolation(
@@ -121,14 +117,6 @@ class _CheckedMixin:
                 f"worker payouts {self.registry.total_spend} exceed "
                 f"gross reservations {gross_reserved}"
             )
-
-
-class CheckedEngine(_CheckedMixin, CampaignEngine):
-    pass
-
-
-class CheckedShardedEngine(_CheckedMixin, ShardedCampaignEngine):
-    pass
 
 
 def build_campaign(
@@ -145,28 +133,18 @@ def build_campaign(
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=pool_size, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    config = CampaignConfig(
         budget=0.3 * num_tasks,
         capacity=3,
         batch_size=20,
         confidence_target=0.95,
         reestimate_every=reestimate_every,
         seed=seed,
+        num_shards=shards,
+        routing_policy=policy,
+        rebalance_threshold=rebalance_threshold,
     )
-    if shards == 0:  # the plain, pre-sharding engine
-        cls = CheckedEngine if checked else CampaignEngine
-        engine = cls(pool, config)
-    else:
-        cls = CheckedShardedEngine if checked else ShardedCampaignEngine
-        engine = cls(
-            pool,
-            config,
-            ShardingConfig(
-                shards,
-                policy=policy,
-                rebalance_threshold=rebalance_threshold,
-            ),
-        )
+    engine = (CheckedEngine if checked else CampaignEngine)(pool, config)
     truths = rng.integers(0, 2, size=num_tasks)
     engine.submit(
         EngineTask(f"t{i}", ground_truth=int(t))
@@ -185,20 +163,19 @@ def final_laws(engine, metrics):
     assert metrics.total_spend == pytest.approx(
         engine.registry.total_spend, abs=1e-9
     )
-    if isinstance(engine.scheduler, ShardedScheduler):
-        allocator = engine.scheduler.allocator
-        # Refund conservation across shard re-absorption: everything
-        # the tasks handed back landed in the allocator's pot.
-        assert allocator.refunded == pytest.approx(
-            metrics.total_refunded, abs=1e-9
-        )
-        assert allocator.granted == pytest.approx(
-            allocator.reserved + allocator.reabsorbed, abs=1e-6
-        )
-        assert metrics.allocator_snapshot is not None
-        assert metrics.shard_snapshots is not None
-        reserved = sum(s.reserved for s in metrics.shard_snapshots)
-        assert reserved == pytest.approx(allocator.reserved, abs=1e-6)
+    allocator = engine.scheduler.allocator
+    # Refund conservation across shard re-absorption: everything the
+    # tasks handed back landed in the allocator's pot.
+    assert allocator.refunded == pytest.approx(
+        metrics.total_refunded, abs=1e-9
+    )
+    assert allocator.granted == pytest.approx(
+        allocator.reserved + allocator.reabsorbed, abs=1e-6
+    )
+    assert metrics.allocator_snapshot is not None
+    assert metrics.shard_snapshots is not None
+    reserved = sum(s.reserved for s in metrics.shard_snapshots)
+    assert reserved == pytest.approx(allocator.reserved, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -234,23 +211,15 @@ def test_replay_is_byte_identical(seed):
     assert first.fingerprint() == second.fingerprint()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_single_shard_matches_presharding_engine(seed):
-    """The single-shard path is pinned to the pre-sharding engine:
-    same seed => byte-identical metrics (fingerprints cover every task
-    record at full float precision plus all campaign counters)."""
-    plain = build_campaign(seed, 16, 0, checked=False).run()
-    sharded = build_campaign(seed, 16, 1, checked=False).run()
-    assert plain.fingerprint() == sharded.fingerprint()
-
-
 def test_unfunded_starved_campaign_still_conserves():
     """Zero budget: every task must complete unfunded, spend nothing,
     and violate nothing."""
     rng = np.random.default_rng(3)
     pool = generate_pool(SyntheticPoolConfig(num_workers=8), rng)
-    config = EngineConfig(budget=0.0, capacity=2, batch_size=5, seed=3)
-    engine = CheckedShardedEngine(pool, config, ShardingConfig(2))
+    config = CampaignConfig(
+        budget=0.0, capacity=2, batch_size=5, seed=3, num_shards=2
+    )
+    engine = CheckedEngine(pool, config)
     engine.submit(EngineTask(f"t{i}") for i in range(20))
     metrics = engine.run()
     final_laws(engine, metrics)
@@ -267,7 +236,7 @@ def test_wide_frontier_pool_campaign_conserves():
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=18, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    config = CampaignConfig(
         budget=6.0,
         capacity=3,
         batch_size=10,
@@ -385,15 +354,13 @@ def test_checkpoint_resume_under_quality_drift(seed, tmp_path):
     assert resumed.run().fingerprint() == fingerprint
 
 
-def test_facade_matches_legacy_engines():
-    """The facade is a re-spelling, not a re-implementation: same seed
-    => same fingerprint as the deprecated classes it wraps."""
-    legacy = build_campaign(7, 16, 0, checked=False).run().fingerprint()
-    assert build_facade_campaign(7, 16, 1).run().fingerprint() == legacy
-    legacy_sharded = build_campaign(7, 48, 4, checked=False).run().fingerprint()
-    assert (
-        build_facade_campaign(7, 48, 4).run().fingerprint() == legacy_sharded
-    )
+def test_facade_matches_bare_engine():
+    """The facade drives the engine core, it does not re-implement it:
+    same seed => same fingerprint as the core's own one-shot run."""
+    for pool_size, shards in ((16, 1), (48, 4)):
+        bare = build_campaign(7, pool_size, shards, checked=False).run()
+        facade = build_facade_campaign(7, pool_size, shards).run()
+        assert facade.fingerprint() == bare.fingerprint()
 
 
 def test_rebalancing_campaign_migrates_and_conserves():
@@ -408,6 +375,104 @@ def test_rebalancing_campaign_migrates_and_conserves():
     moved_in = sum(s.migrations_in for s in metrics.shard_snapshots)
     moved_out = sum(s.migrations_out for s in metrics.shard_snapshots)
     assert moved_in == moved_out == engine.scheduler.migrations
+
+
+# ======================================================================
+# Recorded decisions
+# ======================================================================
+# The data files were written by the release that still served a
+# one-shard campaign through a dedicated single-scheduler engine (with
+# its own budget pacing and one campaign-wide JQ cache), pinned
+# byte-identical to the sharded engine at one shard.  Integers and
+# labels compare exactly; floats to 1e-9 relative, so last-ULP libm
+# differences between hosts cannot fail them.
+GOLDEN = json.loads((DATA / "golden_decisions.json").read_text())
+
+
+def assert_decisions_match(metrics, recorded):
+    rows = [
+        (r.task_id, r.answer, r.reason, r.votes_used, r.correct)
+        for r in metrics.records
+    ]
+    assert rows == [
+        (task_id, answer, reason, votes_used, correct)
+        for task_id, answer, reason, votes_used, *_, correct in (
+            recorded["records"]
+        )
+    ]
+    floats = [
+        (r.confidence, r.predicted_jq, r.reserved_cost, r.spent_cost)
+        for r in metrics.records
+    ]
+    assert floats == [
+        tuple(pytest.approx(x, rel=1e-9) for x in row[4:8])
+        for row in recorded["records"]
+    ]
+    counters = recorded["counters"]
+    cache = metrics.cache_stats
+    assert (
+        metrics.submitted,
+        metrics.votes_cast,
+        metrics.votes_cancelled,
+        metrics.peak_worker_load,
+        metrics.reestimations,
+        [cache.hits, cache.misses, cache.entries],
+    ) == (
+        counters["submitted"],
+        counters["votes_cast"],
+        counters["votes_cancelled"],
+        counters["peak_worker_load"],
+        counters["reestimations"],
+        counters["cache"],
+    )
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+@pytest.mark.parametrize("seed", (1, 2))
+def test_decisions_match_golden_records(seed, shards):
+    """Every campaign, one shard included, serves through shard
+    schedulers under one budget allocator; the decisions are those the
+    separate single-scheduler engine made — through the checked core
+    and through the facade alike."""
+    pool_size = 16 if shards == 1 else 48
+    recorded = GOLDEN[f"{seed}-{shards}"]
+    engine = build_campaign(seed, pool_size, shards)
+    metrics = engine.run()
+    final_laws(engine, metrics)
+    assert_decisions_match(metrics, recorded)
+    facade = build_facade_campaign(seed, pool_size, shards)
+    assert_decisions_match(facade.run(), recorded)
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+def test_legacy_checkpoint_resumes_to_recorded_decisions(shards):
+    """Checkpoints written by that release, paused with juries in
+    flight, deferred tasks and arrivals still queued, resume and finish
+    with the decisions of its uninterrupted run.  The one-shard file
+    carries the retired ``"mode": "single"`` ledger, which restore
+    lifts into the one-shard layout with a conserving allocator."""
+    fixture = json.loads(
+        (DATA / f"legacy_checkpoint_{shards}shard.json").read_text()
+    )
+    backend = MemoryBackend()
+    backend.save(fixture["snapshot"])
+    resumed = Campaign.resume(backend)
+    scheduler = resumed.engine.scheduler
+    allocator = scheduler.allocator
+    assert allocator.granted == pytest.approx(
+        allocator.reserved + allocator.reabsorbed
+    )
+    assert sum(len(shard.view) for shard in scheduler.shards) == len(
+        resumed.registry
+    )
+    # Submissions count every accepted task, including the arrivals
+    # the paused loop had not dispatched yet.
+    assert resumed.metrics.submitted == len(
+        fixture["snapshot"]["campaign"]["task_ids"]
+    )
+    metrics = resumed.run()
+    final_laws(resumed.engine, metrics)
+    assert_decisions_match(metrics, fixture["decisions"])
 
 
 # ======================================================================
@@ -436,7 +501,7 @@ def build_async_loop(
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=pool_size, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    config = CampaignConfig(
         budget=0.3 * num_tasks,
         capacity=3,
         batch_size=20,
@@ -445,21 +510,11 @@ def build_async_loop(
         ingestion="async",
         telemetry=telemetry,
         seed=seed,
+        num_shards=shards,
+        routing_policy=policy,
+        rebalance_threshold=rebalance_threshold,
     )
-    if shards == 0:
-        cls = CheckedEngine if checked else CampaignEngine
-        engine = cls(pool, config)
-    else:
-        cls = CheckedShardedEngine if checked else ShardedCampaignEngine
-        engine = cls(
-            pool,
-            config,
-            ShardingConfig(
-                shards,
-                policy=policy,
-                rebalance_threshold=rebalance_threshold,
-            ),
-        )
+    engine = (CheckedEngine if checked else CampaignEngine)(pool, config)
     truths = rng.integers(0, 2, size=num_tasks)
     tasks = [
         EngineTask(f"t{i}", ground_truth=int(t))

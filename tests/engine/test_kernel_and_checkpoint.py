@@ -64,9 +64,7 @@ class TestFrontierMemoLRU:
             Worker(f"w{i}", 0.6 + 0.05 * i, 1.0) for i in range(pool_size)
         )
         registry = WorkerRegistry(pool, capacity=4)
-        return CampaignScheduler(
-            registry, JQCache(), budget=100.0, expected_tasks=100
-        )
+        return CampaignScheduler(registry, JQCache())
 
     def test_overflow_evicts_lru_not_everything(self):
         scheduler = self._scheduler()
@@ -78,7 +76,7 @@ class TestFrontierMemoLRU:
         scheduler._frontier_memo[("key", 0)] = hit
         # Admit a batch so a real miss inserts at the bound.
         tasks = [EngineTask("t0")]
-        scheduler.admit(tasks)
+        scheduler.admit(tasks, 1.0)
         assert len(scheduler._frontier_memo) == MAX_FRONTIER_MEMO
         assert ("key", 0) in scheduler._frontier_memo  # refreshed: kept
         assert ("key", 1) not in scheduler._frontier_memo  # LRU: evicted
@@ -86,10 +84,10 @@ class TestFrontierMemoLRU:
 
     def test_memo_order_round_trips_through_state(self):
         scheduler = self._scheduler()
-        scheduler.admit([EngineTask("t0")])
+        scheduler.admit([EngineTask("t0")], 1.0)
         # A hit on the same pool must refresh recency, preserving dict
         # order as the LRU order in the persisted state.
-        scheduler.admit([EngineTask("t1")])
+        scheduler.admit([EngineTask("t1")], 1.0)
         state = scheduler.state_dict()
         restored = self._scheduler()
         restored.load_state(state)

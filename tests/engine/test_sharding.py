@@ -1,6 +1,6 @@
 """Unit tests for the sharded serving layer: partitioning, registry
 views, the budget allocator's ledger, routing policies, rebalancing,
-and the sharded engine's reporting surface."""
+and the engine's shard reporting surface."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ import pytest
 from repro.core import Worker, WorkerPool
 from repro.engine import (
     BudgetAllocator,
-    CampaignEngine,
-    EngineConfig,
+    Campaign,
+    CampaignConfig,
     EngineTask,
-    ShardedCampaignEngine,
     ShardedScheduler,
-    ShardingConfig,
     ShardRegistryView,
     WorkerRegistry,
     partition_members,
@@ -46,27 +44,35 @@ def make_scheduler(
         rng,
     )
     registry = WorkerRegistry(pool, capacity=capacity)
-    config = EngineConfig(budget=budget, capacity=capacity, seed=seed)
-    sharding = ShardingConfig(shards, policy=policy, **sharding_kw)
-    return ShardedScheduler(registry, config, sharding, expected)
+    config = CampaignConfig(
+        budget=budget,
+        capacity=capacity,
+        seed=seed,
+        num_shards=shards,
+        routing_policy=policy,
+        **sharding_kw,
+    )
+    return ShardedScheduler(registry, config, expected)
 
 
-class TestShardingConfig:
+class TestShardingSettings:
+    """The sharding fields of :class:`CampaignConfig` validate."""
+
     def test_validates_num_shards(self):
         with pytest.raises(ValueError, match="num_shards"):
-            ShardingConfig(0)
+            CampaignConfig(budget=1.0, num_shards=0)
 
     def test_validates_policy(self):
         with pytest.raises(ValueError, match="routing policy"):
-            ShardingConfig(2, policy="round-robin")
+            CampaignConfig(budget=1.0, routing_policy="round-robin")
 
     def test_validates_rebalance_threshold(self):
         with pytest.raises(ValueError, match="rebalance_threshold"):
-            ShardingConfig(2, rebalance_threshold=0.0)
+            CampaignConfig(budget=1.0, rebalance_threshold=0.0)
 
     def test_validates_rebalance_moves(self):
         with pytest.raises(ValueError, match="rebalance_max_moves"):
-            ShardingConfig(2, rebalance_max_moves=-1)
+            CampaignConfig(budget=1.0, rebalance_max_moves=-1)
 
 
 class TestPartition:
@@ -270,7 +276,7 @@ class TestRebalancing:
         scheduler = self.skewed_scheduler()
         before = len(scheduler.shards[1].view)
         moved = scheduler.rebalance()
-        assert moved == scheduler.sharding.rebalance_max_moves
+        assert moved == scheduler.config.rebalance_max_moves
         assert len(scheduler.shards[1].view) == before + moved
         assert scheduler.shards[0].migrations_out == moved
         assert scheduler.shards[1].migrations_in == moved
@@ -298,16 +304,20 @@ class TestShardedEngine:
             ),
             rng,
         )
-        config = EngineConfig(
-            budget=0.35 * num_tasks, capacity=3, batch_size=20, seed=seed
+        config = CampaignConfig(
+            budget=0.35 * num_tasks,
+            capacity=3,
+            batch_size=20,
+            seed=seed,
+            num_shards=shards,
         )
-        engine = ShardedCampaignEngine(pool, config, shards)
+        campaign = Campaign.open(pool, config)
         truths = rng.integers(0, 2, size=num_tasks)
-        engine.submit(
+        campaign.submit(
             EngineTask(f"t{i}", ground_truth=int(t))
             for i, t in enumerate(truths)
         )
-        return engine, engine.run()
+        return campaign.engine, campaign.run()
 
     def test_campaign_completes_with_shard_reporting(self):
         engine, metrics = self.run_campaign()
@@ -328,36 +338,25 @@ class TestShardedEngine:
             c.entries for c in per_shard
         )
 
-    def test_accepts_bare_int_shard_count(self):
-        engine, metrics = self.run_campaign(shards=2)
-        assert engine.sharding.num_shards == 2
+    def test_one_shard_reports_as_shard_zero(self):
+        """A one-shard campaign is one shard holding every worker, and
+        reports itself like any other sharded campaign."""
+        engine, metrics = self.run_campaign(shards=1)
+        (snapshot,) = metrics.shard_snapshots
+        assert snapshot.shard_id == 0
+        assert snapshot.workers == 32
+        assert metrics.allocator_snapshot.rounds > 0
+        assert metrics.cache_stats == snapshot.cache
+        report = metrics.render(budget=engine.config.budget)
+        assert "sharding     : allocator:" in report
+        assert "shard 0:" in report
 
     def test_rejects_more_shards_than_workers(self):
         rng = np.random.default_rng(0)
         pool = generate_pool(SyntheticPoolConfig(num_workers=4), rng)
-        config = EngineConfig(budget=10.0)
+        config = CampaignConfig(budget=10.0, num_shards=5)
         with pytest.raises(ValueError, match="pool size"):
-            ShardedCampaignEngine(pool, config, ShardingConfig(5))
-
-    def test_matches_plain_engine_at_one_shard(self):
-        """The headline regression: ShardingConfig(1) is the plain
-        engine, bit for bit (full matrix in test_invariants.py)."""
-        engine, sharded = self.run_campaign(shards=1)
-        rng = np.random.default_rng(9)
-        pool = generate_pool(
-            SyntheticPoolConfig(num_workers=32, quality_ceiling=0.95), rng
-        )
-        config = EngineConfig(
-            budget=0.35 * 80, capacity=3, batch_size=20, seed=9
-        )
-        plain_engine = CampaignEngine(pool, config)
-        truths = rng.integers(0, 2, size=80)
-        plain_engine.submit(
-            EngineTask(f"t{i}", ground_truth=int(t))
-            for i, t in enumerate(truths)
-        )
-        plain = plain_engine.run()
-        assert plain.fingerprint() == sharded.fingerprint()
+            Campaign.open(pool, config)
 
 
 class TestAdmitErrorSettlement:
@@ -375,10 +374,10 @@ class TestAdmitErrorSettlement:
             SyntheticPoolConfig(num_workers=16, quality_ceiling=0.95), rng
         )
         registry = WorkerRegistry(pool, capacity=2)
-        config = EngineConfig(budget=30.0, capacity=2, seed=seed)
-        return ShardedScheduler(
-            registry, config, ShardingConfig(shards), 100
+        config = CampaignConfig(
+            budget=30.0, capacity=2, seed=seed, num_shards=shards
         )
+        return ShardedScheduler(registry, config, 100)
 
     @staticmethod
     def tasks(count, offset=0):
@@ -403,7 +402,7 @@ class TestAdmitErrorSettlement:
         scheduler = self.build()
         calls = []
 
-        def exploding_admit(tasks, batch_budget=None):
+        def exploding_admit(tasks, batch_budget):
             calls.append(len(tasks))
             raise RuntimeError("shard exploded")
 
@@ -418,7 +417,7 @@ class TestAdmitErrorSettlement:
         victim = scheduler.shards[1].scheduler
         real_admit = victim.admit
 
-        def admit_then_explode(tasks, batch_budget=None):
+        def admit_then_explode(tasks, batch_budget):
             real_admit(tasks, batch_budget)
             raise RuntimeError("post-reserve failure")
 
@@ -433,7 +432,7 @@ class TestAdmitErrorSettlement:
         scheduler = self.build()
         original = scheduler.shards[3].scheduler.admit
 
-        def explode_once(tasks, batch_budget=None):
+        def explode_once(tasks, batch_budget):
             scheduler.shards[3].scheduler.admit = original
             raise RuntimeError("transient")
 

@@ -372,6 +372,40 @@ class TestCampaignIntegration:
         shards = {r["labels"].get("shard") for r in rows}
         assert len(shards) > 1
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_open_offers_gauge_tracks_the_book(self, shards):
+        """External-vote campaigns export the open-offer count at every
+        shard count (the sharded collector used to leave it out)."""
+        campaign = make_campaign(
+            7, shards, telemetry="on", vote_source="external"
+        )
+        worker_id = campaign.registry.worker_ids[0]
+        campaign.assignments(worker_id)  # seats the first batches
+        gauges = {
+            r["name"]: r["value"]
+            for r in campaign.telemetry.snapshot()["gauges"]
+            if not r["labels"]
+        }
+        assert campaign.offers.open_count > 0
+        assert gauges["engine.open_offers"] == campaign.offers.open_count
+
+    def test_one_shard_reports_as_shard_zero(self):
+        campaign = make_campaign(7, 1, telemetry="on")
+        campaign.run()
+        snapshot = campaign.telemetry.snapshot()
+        gauge_names = {
+            r["name"]
+            for r in snapshot["gauges"]
+            if r["labels"].get("shard") == "0"
+        }
+        assert {"cache.hits", "shard.workers", "shard.granted"} <= gauge_names
+        admitted = [
+            r["labels"]
+            for r in snapshot["counters"]
+            if r["name"] == "scheduler.admitted"
+        ]
+        assert admitted == [{"shard": "0"}]
+
     @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
     def test_telemetry_survives_checkpoint_resume(
         self, backend_kind, tmp_path

@@ -122,10 +122,14 @@ class TestEngineCommand:
         ]
 
     def test_unsharded_run(self, capsys):
+        """The default single shard holds every worker and reports as
+        shard 0."""
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "Campaign engine report" in out
-        assert "sharding" not in out
+        assert "sharding     : allocator:" in out
+        assert "shard 0: 24 workers" in out
+        assert "shard 1:" not in out
 
     def test_sharded_run_reports_shards(self, capsys):
         assert main(self.ARGS + ["--num-shards", "4"]) == 0
@@ -134,10 +138,9 @@ class TestEngineCommand:
         assert "shard 3:" in out
 
     def test_shards_one_is_byte_identical_to_presharding(self, capsys):
-        """The CLI output contract: --num-shards 1 produces the exact
-        pre-sharding report (modulo wall clock) — e.g. no sharding
-        lines may appear.  The engine-level single-shard fingerprint
-        pin lives in tests/engine/test_invariants.py."""
+        """The CLI output contract: --num-shards 1 is the default
+        report (modulo wall clock).  The engine-level one-shard
+        decision pins live in tests/engine/test_invariants.py."""
         assert main(self.ARGS) == 0
         plain = self.stable_lines(capsys.readouterr().out)
         assert main(self.ARGS + ["--num-shards", "1"]) == 0
