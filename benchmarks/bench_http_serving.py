@@ -10,17 +10,21 @@ pin at benchmark scale (the correctness matrix lives in
 ``tests/engine/test_server.py``), then reports what serving over
 localhost HTTP costs in wall-clock and sustained request throughput.
 
-The acceptance bar is a *floor*, not a speedup: the stdlib threaded
-server plus the synchronous vote mailbox must sustain at least
-``MIN_REQUESTS_PER_SEC`` request round-trips per second — if a change
-to the drain discipline ever serializes requests behind the poll
-interval, this number collapses by two orders of magnitude.
+The fleet holds one keep-alive connection, as real clients do.  The
+acceptance bar is a *floor*, not a speedup: the stdlib threaded server
+plus the synchronous vote mailbox must sustain at least
+``MIN_REQUESTS_PER_SEC`` request round-trips per second on that
+connection.  If a response ever leaves in two writes on a Nagle socket
+again, every request waits out the client's delayed ACK (~23 req/s);
+if a change to the drain discipline serializes requests behind the
+poll interval, the rate collapses likewise.
 """
 
+import http.client
 import json
+import os
 import threading
 import time
-import urllib.request
 
 import numpy as np
 
@@ -33,8 +37,11 @@ NUM_TASKS = 60
 CAPACITY = 4
 BUDGET_PER_TASK = 0.4
 SEED = 2015
-#: Sustained HTTP round-trips per second the serving stack must clear.
-MIN_REQUESTS_PER_SEC = 50.0
+#: Sustained keep-alive round-trips per second the serving stack must
+#: clear: 540-3000 measured on a shared 2-core host (client, handler
+#: and serving loop share one interpreter), ~23 with the delayed-ACK
+#: stall.
+MIN_REQUESTS_PER_SEC = 200.0
 
 
 def _pool():
@@ -109,31 +116,23 @@ def run_over_http():
     server = CampaignServer(campaign, port=0)
     thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
+    # One keep-alive connection for the whole fleet, as a real client
+    # holds one: a connection per request would hide any per-response
+    # stall on a reused connection.
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
 
-    def get(path):
-        with urllib.request.urlopen(server.url + path, timeout=30) as r:
-            return json.loads(r.read())
+    def request(method, path, payload=None):
+        body = None if payload is None else json.dumps(payload).encode()
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
 
-    def post(path, payload):
-        request = urllib.request.Request(
-            server.url + path,
-            data=json.dumps(payload).encode(),
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=30) as r:
-                return r.status, json.loads(r.read())
-        except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
-
-    import urllib.error
-
-    post("/tasks", {"tasks": [
+    request("POST", "/tasks", {"tasks": [
         {"task_id": t.task_id, "ground_truth": t.ground_truth}
         for t in _tasks()
     ]})
     while True:
-        status = get("/status")
+        _, status = request("GET", "/status")
         if (status["idle"] and status["staged"] == 0
                 and status["queued_events"] == 0):
             break
@@ -142,16 +141,17 @@ def run_over_http():
     requests = 0
     start = time.perf_counter()
     while True:
-        status = get("/status")
+        _, status = request("GET", "/status")
         requests += 1
         if status["open_offers"] == 0 and status["active"] == 0:
             break
         progressed = False
         for worker_id in worker_ids:
-            rows = get(f"/assignments?worker={worker_id}")["assignments"]
+            _, payload = request("GET", f"/assignments?worker={worker_id}")
             requests += 1
-            for row in sorted(rows, key=lambda r: r["task_id"]):
-                code, _ = post("/votes", {
+            for row in sorted(payload["assignments"],
+                              key=lambda r: r["task_id"]):
+                code, _ = request("POST", "/votes", {
                     "task_id": row["task_id"],
                     "worker_id": worker_id,
                     "vote": _vote(row["task_id"], worker_id),
@@ -162,7 +162,8 @@ def run_over_http():
         if not progressed:
             time.sleep(0.005)
     elapsed = time.perf_counter() - start
-    post("/admin/close", {"mode": "drain"})
+    request("POST", "/admin/close", {"mode": "drain"})
+    conn.close()
     thread.join(timeout=60)
     server.shutdown()
     metrics = campaign.metrics
@@ -223,6 +224,8 @@ def test_http_fleet_vs_in_process(benchmark, emit, emit_json):
             "in_process_fleet_seconds": in_elapsed,
             "http_fleet_seconds": http_elapsed,
             "fingerprint_identical": True,
+            "keep_alive": True,
+            "host_cores": os.cpu_count(),
         },
     )
     assert requests_per_sec >= MIN_REQUESTS_PER_SEC, (

@@ -249,7 +249,6 @@ class Campaign:
             metrics = self._ingest.run(until)
             self._write_configured_trace()
             return metrics
-        engine._start()
         start = time.perf_counter()
         while engine._queue and (
             until is None or engine.metrics.completed < until
@@ -383,7 +382,6 @@ class Campaign:
         (single-threaded external driving only — the serve loop owns
         the engine while it runs)."""
         engine = self._engine
-        engine._start()
         if self._ingest is not None:
             self._ingest.quiesce_intake()
         while engine._queue:
@@ -717,6 +715,9 @@ class Campaign:
                         ledger[f"shard:{k}"] for k in range(config.num_shards)
                     ],
                 }
+            )
+            engine.scheduler.allocator.retain(
+                task.task_id for task in engine._deferred
             )
             for shard in engine.scheduler.shards:
                 shard.cache.load_state(caches[f"shard:{shard.shard_id}"])

@@ -39,8 +39,9 @@ class CampaignConfig:
         Total campaign budget across all tasks.
     expected_tasks:
         Expected campaign size, for budget pacing.  ``None`` means "the
-        tasks submitted before the serving stack is built" (the first
-        ``run``).
+        tasks queued when the first event is dispatched" (the serving
+        stack is built then, so a served campaign counts its first
+        submission, not the empty queue it started with).
     capacity:
         Max concurrent jury seats per worker.
     batch_size:

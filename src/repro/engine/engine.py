@@ -188,7 +188,6 @@ class CampaignEngine:
         if self._ran:
             raise RuntimeError("a CampaignEngine instance runs one campaign")
         self._ran = True
-        self._start()
         start = time.perf_counter()
         while self._queue:
             self._step()
@@ -199,10 +198,14 @@ class CampaignEngine:
     # Lifecycle primitives — the resumable surface the Campaign facade
     # drives (run() above is the classic one-shot composition of them).
     def _start(self) -> None:
-        """Build the scheduler on first use (idempotent).  A restored
-        campaign arrives with ``_expected_tasks`` already pinned — the
-        pacing baseline must not be re-derived from a queue whose
-        arrivals were partly consumed before the checkpoint."""
+        """Build the scheduler on first use (idempotent).  :meth:`_step`
+        calls it before the first event is popped, so a derived pacing
+        baseline counts every arrival queued by then — a serving loop
+        that starts before its first submission does not pace against
+        an empty queue.  A restored campaign arrives with
+        ``_expected_tasks`` already pinned — the pacing baseline must
+        not be re-derived from a queue whose arrivals were partly
+        consumed before the checkpoint."""
         if self.scheduler is None:
             if self._expected_tasks is None:
                 self._expected_tasks = self.config.expected_tasks or max(
@@ -217,6 +220,8 @@ class CampaignEngine:
 
     def _step(self) -> None:
         """Pop and dispatch exactly one event."""
+        if self.scheduler is None:
+            self._start()
         event = self._queue.pop()
         self._clock = max(self._clock, event.time)
         self._dispatch(event)
@@ -259,7 +264,8 @@ class CampaignEngine:
     def _collect_stats(self) -> None:
         """Fold end-of-run state into the metrics: registry gauges, the
         shard caches pooled into one set of cache counters, and the
-        shard and allocator snapshots."""
+        shard and allocator snapshots (none before the first event
+        builds the scheduler)."""
         self.metrics.peak_worker_load = self.registry.peak_load
         self.metrics.reestimations = self.registry.reestimations
         if self.registry.reestimations:
@@ -267,6 +273,8 @@ class CampaignEngine:
                 self.registry.estimation_error()
             )
         scheduler = self.scheduler
+        if scheduler is None:
+            return
         self.metrics.cache_stats = scheduler.merged_cache_stats()
         self.metrics.shard_snapshots = scheduler.shard_snapshots()
         self.metrics.allocator_snapshot = scheduler.allocator.snapshot()
@@ -438,6 +446,11 @@ class CampaignEngine:
                 f"{task_id!r}"
             )
         worker = self.registry.worker(worker_id)
+        # From here on use the engine's own id objects, not the
+        # caller's copies (an HTTP vote carries freshly decoded
+        # strings): what a completed task leaves behind — its answer
+        # log entries and its record — then adds no string of its own.
+        task_id, worker_id = runtime.task.task_id, worker.worker_id
         runtime.session.add_vote(worker, int(vote))
         self.registry.record_vote(worker_id, task_id, int(vote))
         self.metrics.votes_cast += 1
@@ -479,7 +492,15 @@ class CampaignEngine:
             for worker_id in assignment.jury.worker_ids:
                 self.registry.release(worker_id, event.task_id)
             self.scheduler.allocator.refund(assignment.reserved_cost - spent)
-            self.registry.resolve(event.task_id, answer)
+            self.registry.resolve(
+                event.task_id,
+                answer,
+                [
+                    worker_id
+                    for worker_id in assignment.jury.worker_ids
+                    if worker_id not in runtime.pending_workers
+                ],
+            )
             self.metrics.record_task(
                 TaskRecord(
                     task_id=event.task_id,

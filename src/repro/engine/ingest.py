@@ -148,10 +148,12 @@ class IntakeQueue:
         are staged and un-drained.  Producers outrunning the serving
         loop wait here instead of growing memory without bound.
     seen_ids:
-        Task ids already known to the campaign (the resume path seeds
-        this from the restored engine), so duplicate submission is
-        caught at the intake mutex — before two threads could race the
-        engine's own duplicate check.
+        Task ids already known to the campaign: the engine's own id
+        set, read (never copied or written) under the intake mutex.
+        With the ids still staged here, it catches a duplicate
+        submission before two threads could race the engine's own
+        duplicate check.  The intake keeps only the staged ids, so its
+        memory stays bounded by ``max_pending``.
     producer_quota:
         Per-producer fairness bound as a fraction of ``max_pending``
         (0 disables).  One producer may occupy at most
@@ -185,7 +187,10 @@ class IntakeQueue:
         self._not_empty = threading.Condition(self._mutex)
         self._items: deque[tuple[float, EngineTask, str]] = deque()
         self._staged_by_producer: dict[str, int] = {}
-        self._seen: set[str] = set(seen_ids)
+        self._seen = seen_ids
+        # Ids staged here and not yet handed to the engine: drained
+        # ids stay until forget(), after the engine took them.
+        self._staged_ids: set[str] = set()
         self._closed = False
         self.stats = IngestStats()
         self.telemetry.add_collector(self._telemetry_gauges)
@@ -321,9 +326,10 @@ class IntakeQueue:
                         "intake is closed; the campaign is no longer "
                         "accepting tasks"
                     )
-                if task.task_id in self._seen:
-                    raise ValueError(f"duplicate task id {task.task_id!r}")
-                self._seen.add(task.task_id)
+                task_id = task.task_id
+                if task_id in self._staged_ids or task_id in self._seen:
+                    raise ValueError(f"duplicate task id {task_id!r}")
+                self._staged_ids.add(task_id)
                 self._items.append((arrival, task, producer))
                 self._staged_by_producer[producer] = (
                     self._staged_by_producer.get(producer, 0) + 1
@@ -355,7 +361,12 @@ class IntakeQueue:
     # ------------------------------------------------------------------
     def drain(self, max_items: int | None = None) -> list[tuple[float, EngineTask]]:
         """Pop up to ``max_items`` staged ``(arrival_time, task)`` pairs
-        (everything pending when ``None``), oldest first.  Never blocks."""
+        (everything pending when ``None``), oldest first.  Never blocks.
+
+        The popped ids still count as duplicates until :meth:`forget`:
+        the caller hands the tasks to the engine first, whose id set
+        then rejects them, so no submission can slip between the two.
+        """
         # The drain is called once per loop step (usually empty), so the
         # timing probe only fires when telemetry is live.
         timed = self.telemetry.enabled
@@ -383,6 +394,14 @@ class IntakeQueue:
             )
             self.telemetry.event("intake-drain", count=len(out))
         return out
+
+    def forget(self, drained) -> None:
+        """Release the ids of drained ``(arrival_time, task)`` pairs once
+        the engine holds them."""
+        with self._mutex:
+            self._staged_ids.difference_update(
+                task.task_id for _, task in drained
+            )
 
     def wait_for_traffic(self, timeout: float) -> bool:
         """Block up to ``timeout`` seconds for something to drain;
@@ -640,7 +659,14 @@ class AsyncIngestLoop:
         thread only — the event heap is not thread-safe).  Returns the
         number injected.  Called before checkpoints so a snapshot never
         loses tasks that were accepted but not yet scheduled."""
-        return self.engine.ingest(self.intake.drain())
+        return self._ingest(self.intake.drain())
+
+    def _ingest(self, drained) -> int:
+        """Hand drained arrivals to the engine, then let the intake
+        forget their ids (the engine's id set rejects them now)."""
+        count = self.engine.ingest(drained)
+        self.intake.forget(drained)
+        return count
 
     def run(self, until: int | None = None) -> EngineMetrics:
         """Serve until quiescence (``until=None``) or pause after
@@ -653,7 +679,6 @@ class AsyncIngestLoop:
         start = time.perf_counter()
         try:
             self.quiesce_intake()
-            engine._start()
             chunk = 0
             paused = False
             while True:
@@ -663,7 +688,7 @@ class AsyncIngestLoop:
                 if self.interleave is None:
                     self.quiesce_intake()
                 elif chunk <= 0:
-                    engine.ingest(
+                    self._ingest(
                         self.intake.drain(self.interleave.next_take())
                     )
                     chunk = self.interleave.next_chunk()
@@ -782,7 +807,6 @@ class AsyncIngestLoop:
         finished = False
         try:
             self.quiesce_intake()
-            engine._start()
             while True:
                 if stop is not None and stop.is_set():
                     break

@@ -78,7 +78,7 @@ class AllocatorSnapshot:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """Outcome of one completed task."""
 

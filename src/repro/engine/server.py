@@ -33,6 +33,21 @@ threads never touch it directly:
 - **Reads** (``/status``, ``/metrics``, ``/assignments``) touch only
   mutex-guarded or observational state.
 
+Transport
+---------
+Every response leaves in one write on a ``TCP_NODELAY`` socket: the
+handler's ``wfile`` is buffered, :meth:`_CampaignRequestHandler._send`
+is the one response path, and ``handle_one_request`` flushes once.  A
+response written as headers and body in two sends on a Nagle socket
+waits out the client's delayed ACK (~40 ms) on every request of a
+keep-alive connection; a body larger than the write buffer still
+leaves in two sends, and ``TCP_NODELAY`` keeps the second from
+waiting.  The one exception is the interim ``100 Continue``, flushed
+on its own because the client holds the body back until it arrives.
+On a shared 2-core host a keep-alive ``POST /votes`` takes
+a mean ~2 ms (1.4-4.5 ms over ten ``perfbench`` ``http`` runs), where
+it took ~45 ms.
+
 The blocking :meth:`CampaignServer.serve` runs
 :meth:`Campaign.serve` — the serve-forever daemon loop — on the
 calling thread, with the mailbox wired in as its drain hook.  It
@@ -420,6 +435,12 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
     ctx: CampaignServer  # bound by CampaignServer.__init__
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # One write per response on a TCP_NODELAY socket.  With the stdlib
+    # defaults (unbuffered wfile, Nagle on) headers and body leave in
+    # two sends, and on a keep-alive connection the second waits out
+    # the client's delayed ACK: ~40 ms per request.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # --------------------------------------------------------- plumbing
     def log_message(self, format: str, *args) -> None:
@@ -428,10 +449,20 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
         # with traffic.
         pass
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+    def handle_expect_100(self) -> bool:
+        # The interim ``100 Continue`` must leave now, not with the
+        # final response: the client holds the body back until it
+        # sees it.
+        answered = super().handle_expect_100()
+        self.wfile.flush()
+        return answered
+
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """The one response path: status line, headers and body land in
+        the buffered ``wfile`` and leave in one write when
+        ``handle_one_request`` flushes it."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if status == 503:
             # Derived from the admit-latency EWMA: heavy campaigns get
@@ -442,16 +473,12 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
         self.ctx.campaign.telemetry.inc(
-            "server.responses", route=self.path.split("?")[0], status=status
+            "server.responses", route=self._route, status=status
         )
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, status: int, payload: dict) -> None:
+        body = (json.dumps(payload) + "\n").encode("utf-8")
+        self._send(status, body, "application/json")
 
     def _read_json(self) -> dict:
         length_text = self.headers.get("Content-Length", "0")
@@ -476,22 +503,57 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
 
     # ----------------------------------------------------------- routes
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        self._route_request(self._GET_ROUTES, has_body=False)
+
+    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        self._route_request(self._POST_ROUTES, has_body=True)
+
+    def _route_request(self, routes: dict, has_body: bool) -> None:
+        """Look the path up in ``routes`` and run its handler with the
+        parsed URL (GET) or the JSON body (POST).  The route table is
+        also the ``server.responses`` label set: unknown paths share
+        the label ``"unmatched"``, so a client probing random paths
+        cannot mint a counter series per path."""
         parsed = urlparse(self.path)
-        try:
-            if parsed.path == "/status":
-                self._send_json(200, self.ctx.status_payload())
-            elif parsed.path == "/metrics":
-                self._send_text(
-                    200,
-                    self.ctx.campaign.telemetry.render_prometheus(),
-                    "text/plain; version=0.0.4; charset=utf-8",
+        handler = routes.get(parsed.path)
+        self._route = "unmatched" if handler is None else parsed.path
+        argument = parsed
+        if has_body:
+            # Read the body even for an unknown path: the next request
+            # on a kept-alive connection starts after it.
+            try:
+                argument = self._read_json()
+            except _PayloadTooLarge as exc:
+                self._send_json(
+                    413,
+                    {
+                        "error": f"body of {exc.length} bytes exceeds the "
+                        f"{self.ctx.max_body}-byte cap"
+                    },
                 )
-            elif parsed.path == "/assignments":
-                self._get_assignments(parsed)
-            else:
+                return
+            except ValueError as exc:
+                self._send_json(400, {"error": str(exc)})
+                return
+        try:
+            if handler is None:
                 self._send_json(404, {"error": f"no route {parsed.path}"})
+            else:
+                handler(self, argument)
+        except ServerError as exc:
+            self._send_json(503, {"error": str(exc)})
         except Exception as exc:  # pragma: no cover - defensive surface
             self._send_json(500, {"error": str(exc)})
+
+    def _get_status(self, parsed) -> None:
+        self._send_json(200, self.ctx.status_payload())
+
+    def _get_metrics(self, parsed) -> None:
+        self._send(
+            200,
+            self.ctx.campaign.telemetry.render_prometheus().encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
 
     def _get_assignments(self, parsed) -> None:
         offers = self.ctx.campaign.engine.offers
@@ -520,44 +582,16 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        parsed = urlparse(self.path)
-        try:
-            payload = self._read_json()
-        except _PayloadTooLarge as exc:
-            self._send_json(
-                413,
-                {
-                    "error": f"body of {exc.length} bytes exceeds the "
-                    f"{self.ctx.max_body}-byte cap"
-                },
-            )
+    def _post_checkpoint(self, payload: dict) -> None:
+        self._send_json(200, self.ctx.checkpoint())
+
+    def _post_close(self, payload: dict) -> None:
+        mode = payload.get("mode", "drain")
+        if mode not in ("drain", "stop"):
+            self._send_json(400, {"error": "mode must be 'drain' or 'stop'"})
             return
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        try:
-            if parsed.path == "/tasks":
-                self._post_tasks(payload)
-            elif parsed.path == "/votes":
-                self._post_vote(payload)
-            elif parsed.path == "/admin/checkpoint":
-                self._send_json(200, self.ctx.checkpoint())
-            elif parsed.path == "/admin/close":
-                mode = payload.get("mode", "drain")
-                if mode not in ("drain", "stop"):
-                    self._send_json(
-                        400, {"error": "mode must be 'drain' or 'stop'"}
-                    )
-                    return
-                self.ctx.close_intake(stop=(mode == "stop"))
-                self._send_json(200, {"closing": mode})
-            else:
-                self._send_json(404, {"error": f"no route {parsed.path}"})
-        except ServerError as exc:
-            self._send_json(503, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive surface
-            self._send_json(500, {"error": str(exc)})
+        self.ctx.close_intake(stop=(mode == "stop"))
+        self._send_json(200, {"closing": mode})
 
     def _post_tasks(self, payload: dict) -> None:
         try:
@@ -606,6 +640,18 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
             self._send_json(409, {"error": str(exc)})
             return
         self._send_json(200, result)
+
+    _GET_ROUTES = {
+        "/status": _get_status,
+        "/metrics": _get_metrics,
+        "/assignments": _get_assignments,
+    }
+    _POST_ROUTES = {
+        "/tasks": _post_tasks,
+        "/votes": _post_vote,
+        "/admin/checkpoint": _post_checkpoint,
+        "/admin/close": _post_close,
+    }
 
 
 class _PayloadTooLarge(Exception):

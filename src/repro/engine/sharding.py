@@ -210,6 +210,9 @@ class BudgetAllocator:
         self.expected_tasks = expected_tasks
         self._mutex = threading.Lock()
         self._entitled = 0.0
+        # Ids entitled by a round but not yet admitted (deferred): a
+        # retried task must not mint a second share.  An admitted id
+        # leaves the set; the engine rejects it if it comes back.
         self._entitled_tasks: set[str] = set()
         self._reserved = 0.0
         self._refunded = 0.0
@@ -271,6 +274,18 @@ class BudgetAllocator:
                 self.remaining_budget,
                 max(self._entitled - net_reserved, 0.0),
             )
+
+    def admitted(self, task_ids: Iterable[str]) -> None:
+        """Retire the ids a round admitted (seated or unfunded)."""
+        with self._mutex:
+            self._entitled_tasks.difference_update(task_ids)
+
+    def retain(self, task_ids: Iterable[str]) -> None:
+        """Keep only these ids entitled: a resume passes the deferred
+        tasks, since checkpoints written before :meth:`admitted`
+        existed list every task the campaign ever entitled."""
+        with self._mutex:
+            self._entitled_tasks.intersection_update(task_ids)
 
     def split(
         self, round_budget: float, masses: Mapping[int, float]
@@ -536,6 +551,7 @@ class ShardedScheduler:
                     reserved=delta,
                 )
             raise
+        self.allocator.admitted(a.task.task_id for a in assignments)
         self.rebalance()
         return assignments, deferred
 

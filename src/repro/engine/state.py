@@ -288,12 +288,13 @@ class WorkerRegistry:
         state.spend += state.worker.cost
         self.answers.record(worker_id, task_id, int(vote))
 
-    def resolve(self, task_id: str, verdict: int) -> None:
-        """Credit agreement stats for every worker who voted on the task."""
-        for worker_id, vote in self.answers.answers_for(task_id).items():
+    def resolve(self, task_id: str, verdict: int, voters: Iterable[str]) -> None:
+        """Credit agreement stats for the workers who voted on the task
+        (the engine knows them: the jury minus its unvoted seats)."""
+        for worker_id in voters:
             state = self._states[worker_id]
             state.resolved_votes += 1
-            if vote == verdict:
+            if self.answers.label(worker_id, task_id) == verdict:
                 state.agreements += 1.0
 
     # ------------------------------------------------------------------

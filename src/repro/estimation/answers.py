@@ -32,6 +32,13 @@ class AnswerMatrix:
 
     Duplicate (worker, task) pairs are rejected: one vote per worker
     per task, as in the paper's model.
+
+    There is one index, worker-major (``worker -> task -> label``, both
+    levels in first-vote order), plus the arrival order of the votes as
+    two flat lists of id references.  The task-major view
+    (:meth:`by_task`) that EM and :meth:`vote_rows` iterate is rebuilt
+    from that order when they ask for it, so a streamed campaign keeps
+    a few dozen bytes per vote instead of a second dict per task.
     """
 
     def __init__(self, num_labels: int = 2, answers: Iterable[Answer] = ()) -> None:
@@ -39,7 +46,9 @@ class AnswerMatrix:
             raise ValueError("num_labels must be >= 2")
         self.num_labels = num_labels
         self._by_worker: dict[str, dict[str, int]] = {}
-        self._by_task: dict[str, dict[str, int]] = {}
+        # Vote i was cast on _vote_tasks[i] by _vote_workers[i].
+        self._vote_tasks: list[str] = []
+        self._vote_workers: list[str] = []
         for answer in answers:
             self.add(answer)
 
@@ -55,9 +64,8 @@ class AnswerMatrix:
                 f"{answer.task_id!r}"
             )
         worker_answers[answer.task_id] = answer.label
-        self._by_task.setdefault(answer.task_id, {})[
-            answer.worker_id
-        ] = answer.label
+        self._vote_tasks.append(answer.task_id)
+        self._vote_workers.append(answer.worker_id)
 
     def record(self, worker_id: str, task_id: str, label: int) -> None:
         """Convenience wrapper around :meth:`add`."""
@@ -71,20 +79,28 @@ class AnswerMatrix:
         return tuple(self._by_worker)
 
     @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(self._by_task)
-
-    @property
     def num_answers(self) -> int:
-        return sum(len(a) for a in self._by_worker.values())
+        return len(self._vote_tasks)
+
+    def label(self, worker_id: str, task_id: str) -> int:
+        """The worker's label for the task (``KeyError`` if none)."""
+        return self._by_worker[worker_id][task_id]
 
     def answers_by(self, worker_id: str) -> dict[str, int]:
         """task_id -> label for one worker (copy)."""
         return dict(self._by_worker.get(worker_id, {}))
 
-    def answers_for(self, task_id: str) -> dict[str, int]:
-        """worker_id -> label for one task (copy)."""
-        return dict(self._by_task.get(task_id, {}))
+    def by_task(self) -> dict[str, dict[str, int]]:
+        """The task-major view, ``task_id -> {worker_id -> label}``:
+        tasks in first-vote order, each task's voters in vote order.
+        Built fresh on every call, in one pass over the votes."""
+        view: dict[str, dict[str, int]] = {}
+        by_worker = self._by_worker
+        for task_id, worker_id in zip(self._vote_tasks, self._vote_workers):
+            view.setdefault(task_id, {})[worker_id] = by_worker[worker_id][
+                task_id
+            ]
+        return view
 
     def __iter__(self) -> Iterator[Answer]:
         for worker_id, tasks in self._by_worker.items():
@@ -112,7 +128,7 @@ class AnswerMatrix:
         """
         counter = 0
         tpos = {}
-        for task_id, workers in self._by_task.items():
+        for task_id, workers in self.by_task().items():
             for worker_id in workers:
                 tpos[(worker_id, task_id)] = counter
                 counter += 1
@@ -128,14 +144,18 @@ class AnswerMatrix:
 
     @classmethod
     def from_vote_rows(cls, rows, num_labels: int = 2) -> "AnswerMatrix":
-        """Rebuild a matrix with both views in their original orders."""
+        """Rebuild a matrix with both views in their original orders.
+        The votes are re-logged in by-task order, which rebuilds the
+        same task-major view; votes added later append to it as they
+        would have."""
         matrix = cls(num_labels=num_labels)
         for worker_id, task_id, label, _wpos, _tpos in sorted(
             rows, key=lambda r: r[3]
         ):
             matrix._by_worker.setdefault(worker_id, {})[task_id] = int(label)
-        for worker_id, task_id, label, _wpos, _tpos in sorted(
+        for worker_id, task_id, _label, _wpos, _tpos in sorted(
             rows, key=lambda r: r[4]
         ):
-            matrix._by_task.setdefault(task_id, {})[worker_id] = int(label)
+            matrix._vote_tasks.append(task_id)
+            matrix._vote_workers.append(worker_id)
         return matrix

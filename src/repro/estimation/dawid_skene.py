@@ -61,13 +61,14 @@ def dawid_skene(
 
     num_labels = answers.num_labels
     workers = answers.worker_ids
-    tasks = answers.task_ids
+    by_task = answers.by_task()
+    tasks = tuple(by_task)
 
     # Soft majority-vote initialization of the posteriors.
     posteriors: dict[str, np.ndarray] = {}
-    for task in tasks:
+    for task, votes in by_task.items():
         counts = np.zeros(num_labels)
-        for label in answers.answers_for(task).values():
+        for label in votes.values():
             counts[label] += 1.0
         posteriors[task] = counts / counts.sum()
 
@@ -89,9 +90,9 @@ def dawid_skene(
 
         # E-step: refresh posteriors.
         max_change = 0.0
-        for task in tasks:
+        for task, votes in by_task.items():
             log_post = np.log(class_prior)
-            for worker, label in answers.answers_for(task).items():
+            for worker, label in votes.items():
                 log_post = log_post + np.log(confusions[worker][:, label])
             shifted = np.exp(log_post - log_post.max())
             new_post = shifted / shifted.sum()

@@ -74,18 +74,18 @@ def one_coin_em(
         raise ValueError("prior_one must lie strictly inside (0, 1)")
 
     workers = answers.worker_ids
-    tasks = answers.task_ids
+    by_task = answers.by_task()
     quality = {w: float(initial_quality) for w in workers}
-    posterior = {t: prior_one for t in tasks}
+    posterior = {t: prior_one for t in by_task}
 
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
         # E-step: task posteriors under current qualities.
-        for task in tasks:
+        for task, votes in by_task.items():
             log_one = np.log(prior_one)
             log_zero = np.log(1.0 - prior_one)
-            for worker, label in answers.answers_for(task).items():
+            for worker, label in votes.items():
                 q = quality[worker]
                 if label == 1:
                     log_one += np.log(q)

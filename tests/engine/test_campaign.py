@@ -272,3 +272,50 @@ class TestSubmissionAccounting:
         assert resumed.metrics.submitted == 3
         metrics = resumed.run()
         assert metrics.submitted == metrics.completed == 3
+
+
+class TestEntitledTaskLedger:
+    """The budget allocator remembers only the tasks it entitled but
+    has not admitted yet (deferred ones, which must not mint a second
+    share when retried); admitted ids leave, so the set stays as small
+    as the backlog."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_set_holds_only_deferred_tasks(self, num_shards):
+        campaign = make_campaign(num_shards, capacity=2)
+        for until in (10, 30, 50):
+            campaign.run(until=until)
+            engine = campaign.engine
+            deferred = {task.task_id for task in engine._deferred}
+            assert engine.scheduler.allocator._entitled_tasks <= deferred
+        campaign.run()
+        assert not campaign.engine.scheduler.allocator._entitled_tasks
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_full_entitled_list_from_old_checkpoints_resumes(self, num_shards):
+        """Checkpoints written before admitted ids were retired list
+        every task the campaign ever entitled; they resume to the
+        uninterrupted run's fingerprint, and the resumed set keeps
+        only the deferred tasks."""
+        straight = make_campaign(num_shards, capacity=2).run().fingerprint()
+        backend = MemoryBackend()
+        campaign = make_campaign(num_shards, capacity=2, backend=backend)
+        campaign.run(until=30)
+        campaign.checkpoint()
+        campaign.close()
+        snapshot = backend.load()
+        section = snapshot["campaign"]
+        assert section["deferred"], "the pause must hold a backlog"
+        admitted = {r["task_id"] for r in section["metrics"]["records"]}
+        admitted |= {rt["task"]["task_id"] for rt in section["active"]}
+        ledger = snapshot["ledger"]["allocator"]
+        ledger["entitled_tasks"] = sorted(
+            admitted | set(ledger["entitled_tasks"])
+        )
+        old = MemoryBackend()
+        old.save(snapshot)
+        resumed = Campaign.resume(old)
+        deferred = {task.task_id for task in resumed.engine._deferred}
+        allocator = resumed.engine.scheduler.allocator
+        assert allocator._entitled_tasks <= deferred
+        assert resumed.run().fingerprint() == straight

@@ -8,6 +8,7 @@ duplicate detection across threads, and the seeded interleaving
 schedule's replayability.
 """
 
+import sys
 import threading
 import time
 
@@ -359,6 +360,60 @@ def test_run_to_quiescence_serves_submits_that_race_the_exit():
     assert metrics.completed == 21  # the raced task was served
     assert loop.engine._finished
     assert loop.intake.pending == 0
+
+
+def test_racing_resubmissions_are_accepted_exactly_once():
+    """Producers re-submitting the same ids while the loop drains: the
+    intake holds only staged ids, so a drained id must stay a duplicate
+    until the engine's id set holds it.  A duplicate slipping through
+    that window would reach the engine and crash the serving loop."""
+    num_tasks = 120
+    loop = AsyncIngestLoop(_engine(num_tasks=num_tasks))
+    accepted = []
+    rejected = []
+    real_ingest = loop.engine.ingest
+
+    def slow_ingest(stamped):
+        time.sleep(0.001)  # hold the drained ids between the two sets
+        return real_ingest(stamped)
+
+    loop.engine.ingest = slow_ingest
+
+    def producer(seed):
+        order = np.random.default_rng(seed).permutation(num_tasks)
+        for i in order:
+            try:
+                accepted.append(loop.submit([EngineTask(f"t{i}")]))
+            except ValueError:
+                rejected.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        served = []
+        server = threading.Thread(
+            target=lambda: served.append(loop.serve(poll=0.01))
+        )
+        server.start()
+        threads = [
+            threading.Thread(target=producer, args=(seed,))
+            for seed in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        loop.close_intake()
+        server.join(timeout=10.0)
+        assert not server.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(accepted) == num_tasks
+    assert len(rejected) == 5 * num_tasks
+    metrics = served[0]
+    assert metrics.submitted == metrics.completed == num_tasks
+    assert not loop.intake._staged_ids
 
 
 def test_loop_grace_window_serves_straggler_producers():

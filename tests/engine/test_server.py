@@ -8,8 +8,11 @@ synchronous facade in-process — across shard counts and state backends.
 """
 
 import hashlib
+import http.client
+import io
 import json
 import re
+import socket
 import threading
 import time
 import urllib.error
@@ -28,6 +31,7 @@ from repro.engine import (
     SQLiteBackend,
     ServerError,
 )
+from repro.engine.server import _CampaignRequestHandler
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,23 @@ def http_post(url, payload, timeout=10):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def keep_alive(srv):
+    """One HTTP/1.1 connection for every request, as a real client
+    holds it (``urlopen`` opens one per request, so it never sees a
+    stall on a reused connection)."""
+    return http.client.HTTPConnection(
+        srv.server.host, srv.server.port, timeout=10
+    )
+
+
+def call(conn, method, path, payload=None):
+    """One request on a kept-alive connection: (status, raw body)."""
+    body = None if payload is None else json.dumps(payload).encode()
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
 
 
 class serving:
@@ -285,6 +306,31 @@ class TestFingerprintParity:
         assert http_metrics.votes_cancelled == sync_metrics.votes_cancelled
         assert http_fp == sync_fp
 
+    def test_served_campaign_paces_against_its_first_submission(self):
+        """Without ``expected_tasks`` the pacing baseline is derived from
+        the queue.  The serve loop runs before any POST /tasks lands; it
+        must count that first submission, as the in-process campaign
+        counts its submit, not the empty queue it started with."""
+        tasks = make_tasks(num_tasks=12)
+        config = make_config(budget=3.0)
+        assert config.expected_tasks is None
+        with serving(config=config) as srv:
+            deadline = time.monotonic() + 10
+            while not srv.campaign._ingest.idle:
+                assert time.monotonic() < deadline, "serve loop never idled"
+                time.sleep(0.005)
+            code, _ = http_post(srv.url + "/tasks", {"tasks": task_rows(tasks)})
+            assert code == 202
+            barrier_http(srv.url)
+            allocator = srv.campaign.engine.scheduler.allocator
+            assert allocator.expected_tasks == len(tasks)
+            drive_fleet_http(srv.url, list(srv.campaign.registry.worker_ids))
+            code, _ = http_post(srv.url + "/admin/close", {"mode": "drain"})
+            assert code == 200
+            http_fp = srv.join().fingerprint()
+        sync_fp, _ = run_in_process_campaign(config, None, tasks)
+        assert http_fp == sync_fp
+
     def test_fleet_seed_changes_the_outcome(self):
         # The pin above is meaningful only if the fingerprint actually
         # depends on the votes the fleet casts.
@@ -448,6 +494,117 @@ class TestEndpoints:
 # ---------------------------------------------------------------------------
 
 
+class TestKeepAlive:
+    """Every response leaves in one write on a TCP_NODELAY socket.  A
+    response split into two writes on a Nagle socket waits out the
+    client's delayed ACK, ~40 ms per request on a reused connection."""
+
+    def test_round_trips_on_one_connection_do_not_stall(self):
+        with serving() as srv:
+            conn = keep_alive(srv)
+            try:
+                code, _ = call(conn, "POST", "/tasks", {
+                    "tasks": task_rows(make_tasks(num_tasks=12))})
+                assert code == 202
+                barrier_http(srv.url)
+                offers = []
+                for worker_id in sorted(srv.campaign.registry.worker_ids):
+                    _, body = call(
+                        conn, "GET", f"/assignments?worker={worker_id}"
+                    )
+                    offers += [
+                        (row["task_id"], worker_id)
+                        for row in json.loads(body)["assignments"]
+                    ]
+                assert offers
+                start = time.perf_counter()
+                for i in range(50):
+                    code, _ = call(conn, "GET", "/status")
+                    assert code == 200
+                    task_id, worker_id = offers[i % len(offers)]
+                    code, _ = call(conn, "POST", "/votes", {
+                        "task_id": task_id,
+                        "worker_id": worker_id,
+                        "vote": fleet_vote(task_id, worker_id),
+                    })
+                    assert code in (200, 409)
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        # 100 round trips: >= 2.2 s if each one stalls.
+        assert elapsed < 1.0, f"100 keep-alive round trips took {elapsed:.2f}s"
+
+    def test_metrics_body_beyond_the_write_buffer_does_not_stall(self):
+        """A body larger than the handler's write buffer leaves in a
+        second send after the headers; only TCP_NODELAY keeps that one
+        from waiting for the client's ACK of the first."""
+        with serving(config=make_config(telemetry="on")) as srv:
+            telemetry = srv.campaign.telemetry
+            for i in range(400):
+                telemetry.inc("test.padding", series=str(i))
+            conn = keep_alive(srv)
+            try:
+                start = time.perf_counter()
+                for _ in range(50):
+                    code, body = call(conn, "GET", "/metrics")
+                    assert code == 200
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        # Past the 8 KiB buffer, under one loopback segment (~64 KiB).
+        assert io.DEFAULT_BUFFER_SIZE < len(body) < 1 << 16
+        assert elapsed < 1.0, f"50 /metrics round trips took {elapsed:.2f}s"
+
+
+    def test_expect_100_continue_is_answered_before_the_body(self):
+        """A client sending ``Expect: 100-continue`` holds the body back
+        until the interim response arrives; the buffered ``wfile`` must
+        not keep it until the final response."""
+        body = json.dumps(
+            {"tasks": task_rows(make_tasks(num_tasks=3))}
+        ).encode()
+        with serving() as srv:
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /tasks HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Expect: 100-continue\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body)
+                )
+                sock.settimeout(0.5)
+                interim = sock.recv(65536)
+                assert interim.startswith(b"HTTP/1.1 100"), interim
+                sock.settimeout(10)
+                sock.sendall(body)
+                received = b""
+                while b"\r\n\r\n" not in received:
+                    received += sock.recv(65536)
+        assert received.startswith(b"HTTP/1.1 202"), received
+
+    @pytest.mark.parametrize(
+        "raw, code",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"BREW /pot HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        ],
+    )
+    def test_stdlib_error_responses_reach_the_client(self, raw, code):
+        """Errors the stdlib handler sends itself return before its
+        per-request flush; the buffered response must still go out."""
+        with serving() as srv:
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as sock:
+                sock.sendall(raw)
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+        assert b"Error code: %d" % code in received
+
+
 class TestAdversarialTraffic:
     def test_spammer_double_votes_are_rejected(self):
         """A worker replaying the same vote gets exactly one acceptance;
@@ -554,6 +711,133 @@ class TestAdversarialTraffic:
 
 
 # ---------------------------------------------------------------------------
+# Memory contract: a completed task keeps its record and nothing per id
+# ---------------------------------------------------------------------------
+
+
+def assert_memory_contract(campaign, num_tasks):
+    """After a drained campaign: every id the campaign keeps for good is
+    the engine's own object, and no set holds completed ids but the
+    engine's one every-task set."""
+    engine = campaign.engine
+    canonical = {task_id: task_id for task_id in engine._task_ids}
+    assert len(canonical) == num_tasks
+    registry = campaign.registry
+    answers = registry.answers
+    for worker_id, tasks in answers._by_worker.items():
+        assert worker_id is registry.worker(worker_id).worker_id
+        assert all(task_id is canonical[task_id] for task_id in tasks)
+    assert all(t is canonical[t] for t in answers._vote_tasks)
+    assert all(
+        w is registry.worker(w).worker_id for w in answers._vote_workers
+    )
+    assert all(r.task_id is canonical[r.task_id] for r in engine.metrics.records)
+    assert not engine.scheduler.allocator._entitled_tasks
+    assert not campaign._ingest.intake._staged_ids
+
+
+def copied(text):
+    """An equal string that is not the same object, as a decoded
+    request body carries it."""
+    return text.encode().decode()
+
+
+class TestMemoryContract:
+    NUM_TASKS = 2000
+    IN_FLIGHT = 50
+    CHUNK = 25
+
+    def config(self):
+        return make_config(
+            budget=0.5 * self.NUM_TASKS,
+            expected_tasks=self.NUM_TASKS,
+            batch_size=self.CHUNK,
+        )
+
+    def test_in_process(self):
+        campaign = Campaign.open(make_pool(), self.config())
+        engine = campaign.engine
+        worker_ids = sorted(campaign.registry.worker_ids)
+        tasks = make_tasks(self.NUM_TASKS)
+        submitted = 0
+        while campaign.metrics.completed < self.NUM_TASKS:
+            in_flight = submitted - campaign.metrics.completed
+            if submitted < self.NUM_TASKS and in_flight < self.IN_FLIGHT:
+                campaign.submit(tasks[submitted:submitted + self.CHUNK])
+                submitted += self.CHUNK
+            progressed = False
+            for worker_id in worker_ids:
+                for row in campaign.assignments(worker_id):
+                    task_id = row["task_id"]
+                    campaign.vote(
+                        copied(task_id),
+                        copied(worker_id),
+                        fleet_vote(task_id, worker_id),
+                    )
+                    progressed = True
+            deferred = {task.task_id for task in engine._deferred}
+            assert engine.scheduler.allocator._entitled_tasks <= deferred
+            assert progressed or submitted < self.NUM_TASKS
+        with pytest.raises(ValueError, match="duplicate"):
+            campaign.submit([EngineTask(tasks[0].task_id)])
+        campaign.close_intake()
+        campaign.run()
+        assert campaign.done
+        assert_memory_contract(campaign, self.NUM_TASKS)
+        campaign.close()
+
+    def test_over_http(self):
+        tasks = make_tasks(self.NUM_TASKS)
+        with serving(config=self.config()) as srv:
+            worker_ids = sorted(srv.campaign.registry.worker_ids)
+            conn = keep_alive(srv)
+            deadline = time.monotonic() + 120
+            submitted = 0
+            try:
+                while time.monotonic() < deadline:
+                    _, body = call(conn, "GET", "/status")
+                    completed = json.loads(body)["completed"]
+                    if completed == self.NUM_TASKS:
+                        break
+                    in_flight = submitted - completed
+                    if (
+                        submitted < self.NUM_TASKS
+                        and in_flight < self.IN_FLIGHT
+                    ):
+                        chunk = tasks[submitted:submitted + self.CHUNK]
+                        code, _ = call(
+                            conn, "POST", "/tasks",
+                            {"tasks": task_rows(chunk)},
+                        )
+                        assert code == 202
+                        submitted += self.CHUNK
+                    for worker_id in worker_ids:
+                        _, body = call(
+                            conn, "GET", f"/assignments?worker={worker_id}"
+                        )
+                        for row in json.loads(body)["assignments"]:
+                            code, _ = call(conn, "POST", "/votes", {
+                                "task_id": row["task_id"],
+                                "worker_id": worker_id,
+                                "vote": fleet_vote(row["task_id"], worker_id),
+                            })
+                            assert code in (200, 409)
+                else:
+                    raise AssertionError("HTTP fleet never drained")
+                code, _ = call(
+                    conn, "POST", "/tasks", {"tasks": task_rows(tasks[:1])}
+                )
+                assert code == 409
+                code, _ = call(conn, "POST", "/admin/close", {"mode": "drain"})
+                assert code == 200
+            finally:
+                conn.close()
+            srv.join()
+            assert srv.campaign.done
+            assert_memory_contract(srv.campaign, self.NUM_TASKS)
+
+
+# ---------------------------------------------------------------------------
 # Hostile Prometheus labels through the live exporter (satellite 2)
 # ---------------------------------------------------------------------------
 
@@ -591,6 +875,34 @@ class TestHostileMetricsLabels:
             assert status == 200
             assert_valid_prometheus(body)
             assert 'evil\\"producer\\nname\\\\with everything' in body
+
+    def test_unknown_paths_share_one_response_label(self):
+        """``server.responses`` is labelled by route: a client probing
+        random paths must not mint a counter series per path."""
+        rng = np.random.default_rng(0)
+        with serving(config=make_config(telemetry="on")) as srv:
+            conn = keep_alive(srv)
+            try:
+                for i in range(500):
+                    path = f"/{rng.integers(1 << 62):x}?q={i}"
+                    if i % 2:
+                        code, _ = call(conn, "GET", path)
+                    else:
+                        code, _ = call(conn, "POST", path, {})
+                    assert code == 404
+                code, body = call(conn, "GET", "/metrics")
+            finally:
+                conn.close()
+        series = [
+            line
+            for line in body.decode().splitlines()
+            if line.startswith("repro_server_responses_total{")
+        ]
+        assert 'route="unmatched"' in "".join(series)
+        known = len(_CampaignRequestHandler._GET_ROUTES) + len(
+            _CampaignRequestHandler._POST_ROUTES
+        )
+        assert len(series) <= known + 1
 
     def test_server_response_labels_are_escaped(self):
         with serving(config=make_config(telemetry="on")) as srv:

@@ -72,7 +72,7 @@ class TestSpendAndHistory:
         registry = WorkerRegistry(pool, capacity=2)
         registry.record_vote("a", "t1", 1)
         registry.record_vote("b", "t1", 0)
-        registry.resolve("t1", 1)
+        registry.resolve("t1", 1, ["a", "b"])
         assert registry.state("a").observed_accuracy == 1.0
         assert registry.state("b").observed_accuracy == 0.0
 

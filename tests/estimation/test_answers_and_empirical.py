@@ -20,7 +20,7 @@ class TestAnswerMatrix:
         assert m.num_answers == 3
         assert len(m) == 3
         assert m.answers_by("w1") == {"t1": 1, "t2": 0}
-        assert m.answers_for("t1") == {"w1": 1, "w2": 0}
+        assert m.by_task() == {"t1": {"w1": 1, "w2": 0}, "t2": {"w1": 0}}
 
     def test_duplicate_answer_rejected(self):
         m = AnswerMatrix()
@@ -62,7 +62,7 @@ class TestAnswerMatrix:
     def test_missing_worker_and_task(self):
         m = AnswerMatrix()
         assert m.answers_by("nope") == {}
-        assert m.answers_for("nope") == {}
+        assert "nope" not in m.by_task()
 
 
 class TestEmpiricalQuality:
